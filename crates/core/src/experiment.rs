@@ -125,17 +125,20 @@ pub fn measure(machine: &mut vax_workloads::Machine, instructions: u64) -> Measu
     while machine.cpu.instructions() - insns_before < instructions {
         if machine.at_idle() {
             // One step at a time: the idle exclusion is re-evaluated at
-            // every instruction boundary. (The idle loop's `BRB` is
-            // PC-changing, so the block tier would not batch it anyway.)
+            // every instruction boundary.
             let suspended = *machine.cpu.mem().counters();
             machine.step(&mut null).expect("workload runs");
             *machine.cpu.mem_mut().counters_mut() = suspended;
         } else {
-            // Busy: let the block tier retire a straight-line run, but
-            // never past the measurement target. Mid-run PCs can never
-            // be the idle PC — the idle loop is only entered by a taken
-            // branch, which ends any block — so the exclusion stays
-            // exact.
+            // Busy: let the fast tier's run loop retire several
+            // instructions, but never past the measurement target. The
+            // run loop does continue past taken branches, so what keeps
+            // the exclusion exact is how the Null process is entered:
+            // only through `LDPCTX`/`REI` (the scheduler, or an
+            // interrupt returning into the idle loop), and both are
+            // resume-unsafe — the run ends as soon as either retires,
+            // so the next boundary is checked here before the idle
+            // loop's first instruction runs.
             let remaining = instructions - (machine.cpu.instructions() - insns_before);
             machine
                 .step_budgeted(remaining, &mut board)

@@ -2,7 +2,7 @@
 
 /// Tunable microcode/pipeline parameters.
 ///
-/// Defaults model the 11/780; the ablation benches flip individual fields
+/// Defaults model the 11/780; the sweep ablations flip individual fields
 /// (e.g. `decode_overlap` models the 11/750's folding of the decode cycle,
 /// discussed in the paper's §5: "the later VAX model 11/750 did [save the
 /// non-overlapped I-Decode cycle]").
@@ -35,40 +35,49 @@ pub struct CpuConfig {
     /// patches on production machines executed at a steady rate. 0
     /// disables.
     pub patch_abort_period: u32,
-    /// Use the predecode cache: parse each static instruction once and
-    /// replay the decoded form on re-execution, charging the identical
-    /// IB/decode cycles. A **host-side** optimization with no simulated
-    /// effect — histograms, hardware counters, and trace streams are
-    /// bit-identical to the naive loop (`tests/perf_equivalence.rs`
-    /// proves it; `vax780 bench` measures the speedup). `false` selects
-    /// the naive byte-by-byte loop, kept as the executable reference.
-    pub predecode: bool,
-    /// Use the sink fast paths: coalesce consecutive same-µPC issues
-    /// into one batched histogram call and skip prefetcher ticks that
-    /// provably mutate nothing. Like `predecode`, a host-side
-    /// optimization with no simulated effect; `false` restores the
-    /// per-cycle loop the equivalence suite and `vax780 bench` use as
-    /// the reference.
-    pub sink_batch: bool,
-    /// Use the generation-validated host shortcuts in the machine model:
-    /// the prefetcher's cheap-gate tick and the one-entry translation
-    /// shortcuts (IB and EBOX) that skip a TB set scan while the TB
-    /// generation proves the scan's outcome. All are host-side
-    /// optimizations counted exactly like the work they elide; `false`
-    /// selects the straight-line reference implementation (full scans,
-    /// every prefetcher cycle runs the full body).
-    pub host_shortcuts: bool,
-    /// Use the basic-block execution tier on top of the predecode cache:
-    /// straight-line runs of predecoded instructions are flattened into
-    /// one pre-resolved block and replayed back-to-back, amortizing the
-    /// per-instruction step overhead (fault poll, interrupt arbitration,
-    /// event pump, cache lookup) over the whole run. Entry guards keep
-    /// it a pure host-side optimization — no fault hook installed, no
-    /// pending interrupt, no external event due inside the block — and
-    /// every µinstruction is still issued one at a time, so histograms,
-    /// hardware counters, and trace streams stay bit-identical to the
-    /// naive loop. Requires `predecode`; has no effect without it.
-    pub block_tier: bool,
+    /// The host execution engine. A **host-side** choice with no
+    /// simulated effect: histograms, hardware counters, and trace
+    /// streams are bit-identical across tiers
+    /// (`tests/perf_equivalence.rs` proves it; `vax780 bench` measures
+    /// the speedup).
+    pub tier: Tier,
+}
+
+/// The host execution engine behind [`CpuConfig::tier`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Tier {
+    /// The byte-by-byte reference loop: every dynamic execution decodes
+    /// its bytes afresh, every cycle is one sink call, every translation
+    /// scans the TB. Kept as the executable reference the equivalence
+    /// suite and `vax780 bench` compare against.
+    Naive,
+    /// The fast loop: the predecode cache replays each static
+    /// instruction's parse, consecutive same-µPC issues reach the sink
+    /// as one batched call, no-op prefetcher ticks are skipped, the
+    /// one-entry translation shortcuts skip TB scans while the TB
+    /// generation proves their outcome, and one `step_budgeted` call
+    /// keeps retiring instructions until the budget, the external-event
+    /// horizon, or a resume-unsafe instruction ends the run.
+    #[default]
+    Fast,
+}
+
+impl Tier {
+    /// Both tiers, reference first.
+    pub const ALL: [Tier; 2] = [Tier::Naive, Tier::Fast];
+
+    /// CLI / job-spec / JSON name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Tier::Naive => "naive",
+            Tier::Fast => "fast",
+        }
+    }
+
+    /// Parse a tier name (`naive` or `fast`).
+    pub fn parse(s: &str) -> Option<Tier> {
+        Tier::ALL.into_iter().find(|t| t.name() == s)
+    }
 }
 
 impl Default for CpuConfig {
@@ -82,10 +91,7 @@ impl Default for CpuConfig {
             exc_service_body_cycles: 12,
             char_loop_spacing: 5,
             patch_abort_period: 12,
-            predecode: true,
-            sink_batch: true,
-            host_shortcuts: true,
-            block_tier: true,
+            tier: Tier::Fast,
         }
     }
 }
@@ -99,28 +105,11 @@ impl CpuConfig {
         }
     }
 
-    /// The naive reference loop: byte-by-byte decode on every dynamic
-    /// execution, no predecode cache, per-cycle sink calls. This is the
-    /// pre-optimization interpreter, kept as the executable reference;
-    /// `vax780 bench` and the equivalence suite compare against it.
+    /// The naive reference loop ([`Tier::Naive`]) over the 11/780's
+    /// simulated parameters.
     pub fn naive_loop() -> CpuConfig {
         CpuConfig {
-            predecode: false,
-            sink_batch: false,
-            host_shortcuts: false,
-            block_tier: false,
-            ..CpuConfig::default()
-        }
-    }
-
-    /// The PR 5 fast loop without the block tier: predecode replay, sink
-    /// batching, and host shortcuts, but every instruction still goes
-    /// through the full per-instruction step. `vax780 bench --tier fast`
-    /// times this configuration so the block tier's marginal gain is
-    /// measured against the right baseline.
-    pub fn fast_loop() -> CpuConfig {
-        CpuConfig {
-            block_tier: false,
+            tier: Tier::Naive,
             ..CpuConfig::default()
         }
     }
@@ -140,24 +129,25 @@ mod tests {
     }
 
     #[test]
-    fn tier_configs_nest() {
+    fn naive_loop_differs_from_default_only_in_tier() {
         let naive = CpuConfig::naive_loop();
-        assert!(!naive.predecode && !naive.sink_batch && !naive.host_shortcuts);
-        assert!(!naive.block_tier);
-        let fast = CpuConfig::fast_loop();
-        assert!(fast.predecode && fast.sink_batch && fast.host_shortcuts);
-        assert!(!fast.block_tier);
-        assert!(CpuConfig::default().block_tier);
-        // The simulated-machine parameters are identical in all three.
-        let strip = |c: CpuConfig| CpuConfig {
-            predecode: false,
-            sink_batch: false,
-            host_shortcuts: false,
-            block_tier: false,
-            ..c
-        };
-        assert_eq!(strip(naive), strip(fast));
-        assert_eq!(strip(fast), strip(CpuConfig::default()));
+        assert_eq!(naive.tier, Tier::Naive);
+        assert_eq!(CpuConfig::default().tier, Tier::Fast);
+        assert_eq!(
+            CpuConfig {
+                tier: Tier::Fast,
+                ..naive
+            },
+            CpuConfig::default()
+        );
+    }
+
+    #[test]
+    fn tier_names_round_trip() {
+        for tier in Tier::ALL {
+            assert_eq!(Tier::parse(tier.name()), Some(tier));
+        }
+        assert_eq!(Tier::parse("block"), None);
     }
 
     #[test]

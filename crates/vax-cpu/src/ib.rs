@@ -44,11 +44,11 @@ pub struct InstructionBuffer {
     tpage: u32,
     tframe: u32,
     tgen: u64,
-    /// Use the host-side shortcuts ([`CpuConfig::host_shortcuts`]): the
-    /// cheap tick gate and the same-page translation shortcut. `false`
-    /// runs the straight-line reference body every cycle.
+    /// Use the host-side shortcuts (on for [`Tier::Fast`]): the cheap
+    /// tick gate and the same-page translation shortcut. `false` runs
+    /// the straight-line reference body every cycle.
     ///
-    /// [`CpuConfig::host_shortcuts`]: crate::CpuConfig::host_shortcuts
+    /// [`Tier::Fast`]: crate::Tier::Fast
     shortcuts: bool,
 }
 

@@ -26,7 +26,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod block;
 mod config;
 mod cpu;
 pub mod effect;
@@ -43,10 +42,10 @@ mod psl;
 mod regs;
 mod specifier;
 
-pub use block::{claimed_block_safe, claimed_resume_safe, BlockStats, BLOCK_MAX};
-pub use config::CpuConfig;
+pub use config::{CpuConfig, Tier};
 pub use cpu::scb;
-pub use cpu::{Cpu, RunOutcome, StepOutcome};
+pub use cpu::{BlockStats, Cpu, RunOutcome, StepOutcome};
+pub use effect::claimed_resume_safe;
 pub use fault::{CpuError, Fault};
 pub use interrupt::Interrupt;
 pub use ipr::IprReg;

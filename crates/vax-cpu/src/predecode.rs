@@ -62,10 +62,6 @@ pub(crate) enum PdOp {
 pub(crate) struct PredecodedInst {
     pub opcode: Opcode,
     pub nops: u8,
-    /// Total I-stream bytes the instruction occupies (opcode byte
-    /// included). The block builder walks the static successor chain
-    /// with it; a replay consumes exactly this many bytes.
-    pub len: u8,
     pub ops: [PdOp; OPS_MAX],
 }
 
@@ -74,7 +70,6 @@ impl PredecodedInst {
         PredecodedInst {
             opcode,
             nops: 0,
-            len: 0,
             ops: [PdOp::Branch { disp: 0, bytes: 0 }; OPS_MAX],
         }
     }
@@ -85,39 +80,12 @@ impl PredecodedInst {
     }
 }
 
-/// The block tier has verified a block headed at this slot's PC; the
-/// block's instruction count sits in the upper six bits of the same
-/// flags byte. The flag (and the count with it) is all a block *is* —
-/// the tier stores no entries anywhere.
-pub(crate) const FLAG_HAS_BLOCK: u8 = 1;
-/// The block tier has established that this slot's PC cannot head a
-/// block at the current identity (unsafe opcode, or a run too short to
-/// amortize anything) — don't re-attempt a build on every visit.
-pub(crate) const FLAG_NONHEAD: u8 = 2;
-
 /// Slot identity, kept apart from the instruction payload so a lookup
 /// scans one compact array (both ways of a set share a cache line)
 /// and touches the big payload array only on a hit.
-///
-/// The two per-slot bytes the block tier needs — the head flags and the
-/// chain metadata — ride in the struct's padding: the tag line a lookup
-/// already loads answers "is there a block here?" and "may this parse
-/// chain into one?" for free, with no side tables to pull through the
-/// host cache.
 #[derive(Debug, Clone, Copy)]
 struct Tag {
     pc: u32,
-    /// Block-tier head state: [`FLAG_HAS_BLOCK`] / [`FLAG_NONHEAD`] in
-    /// the low two bits, the verified block length in the upper six.
-    /// Cleared whenever the slot's identity changes: the flags always
-    /// describe the parse this tag currently names.
-    flags: u8,
-    /// Block-tier chain metadata: the instruction's I-stream length in
-    /// the low six bits, bit 7 set if the parse is block-safe
-    /// (flattenable mid-block), bit 6 set if it is resume-safe
-    /// (eligible to *terminate* a block). Precomputed at insert so the
-    /// block builder chains runs by reading tag lines alone.
-    meta: u8,
     /// Address-space tag at insert time (0 for system-space code).
     space: u64,
     /// `decode_gen` at insert time; 0 = empty (the subsystem's
@@ -170,8 +138,6 @@ impl PredecodeCache {
     pub(crate) fn new(enabled: bool) -> PredecodeCache {
         let empty = Tag {
             pc: 0,
-            flags: 0,
-            meta: 0,
             space: 0,
             gen: 0,
         };
@@ -257,42 +223,6 @@ impl PredecodeCache {
         self.insts[idx].ops[i]
     }
 
-    /// Block-tier metadata of the slot at `idx`: `(I-stream length,
-    /// block-safe, resume-safe)`, precomputed at insert. One byte on
-    /// the tag line, so the block builder never touches the payload
-    /// array.
-    #[inline]
-    pub(crate) fn meta_at(&self, idx: usize) -> (u8, bool, bool) {
-        let m = self.tags[idx].meta;
-        (m & 0x3F, m & 0x80 != 0, m & 0x40 != 0)
-    }
-
-    /// The block-tier head flags of the slot at `idx`
-    /// ([`FLAG_HAS_BLOCK`] / [`FLAG_NONHEAD`]). Valid only for the
-    /// identity the slot currently holds — an insert resets them.
-    #[inline]
-    pub(crate) fn head_flags(&self, idx: usize) -> u8 {
-        self.tags[idx].flags
-    }
-
-    /// Mark the slot at `idx` as heading a verified block of `count`
-    /// instructions. The count rides in the upper six bits of the flags
-    /// byte — the flag and the count together are the block's entire
-    /// representation.
-    #[inline]
-    pub(crate) fn note_has_block(&mut self, idx: usize, count: u8) {
-        debug_assert!((2..=0x3F).contains(&count));
-        self.tags[idx].flags = FLAG_HAS_BLOCK | (count << 2);
-    }
-
-    /// Mark the slot at `idx` as unable to head a block (unsafe opcode,
-    /// or a run too short to amortize anything). Exact per-slot state —
-    /// no hashed side table, so one head can never shadow another.
-    #[inline]
-    pub(crate) fn note_nonhead(&mut self, idx: usize) {
-        self.tags[idx].flags = FLAG_NONHEAD;
-    }
-
     /// Insert (or replace) the parse of the instruction at `pc`: refresh
     /// a matching slot, else reuse a dead one, else evict the way that
     /// was not hit most recently.
@@ -322,28 +252,7 @@ impl PredecodeCache {
                 let mru = (self.mru[set / 64] >> (set % 64)) & 1;
                 1 - mru as usize
             });
-        // Lengths above 63 cannot happen (the longest encodable VAX
-        // instruction is 61 bytes); a zero length simply never chains.
-        let len = if inst.len <= 0x3F { inst.len } else { 0 };
-        let meta =
-            len | if crate::block::block_safe(&inst) {
-                0x80
-            } else {
-                0
-            } | if crate::block::claimed_resume_safe(inst.opcode) {
-                0x40
-            } else {
-                0
-            };
-        // Head flags reset with the identity: whatever the block tier
-        // knew about the old parse does not describe the new one.
-        self.tags[2 * set + way] = Tag {
-            pc,
-            flags: 0,
-            meta,
-            space,
-            gen,
-        };
+        self.tags[2 * set + way] = Tag { pc, space, gen };
         self.insts[2 * set + way] = inst;
         self.note_mru(set, way);
     }

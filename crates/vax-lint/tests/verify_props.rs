@@ -57,18 +57,12 @@ fn verify(model: &ImageModel) -> vax_lint::Report {
 fn all_builtin_profiles_verify_clean() {
     for kind in WorkloadKind::ALL {
         let params = profile(kind);
-        let (report, pred) = verify_profile(&params).expect("generation succeeds");
+        let report = verify_profile(&params).expect("generation succeeds");
         assert!(
             report.is_clean(),
             "{}: {}",
             params.name,
             report.render_text()
-        );
-        assert!(pred.blocks() > 0, "{}: no blocks predicted", params.name);
-        assert!(
-            pred.coverage() > 0.5,
-            "{}: implausibly low block coverage",
-            params.name
         );
     }
 }

@@ -38,5 +38,5 @@ pub mod wire;
 pub use journal::{valid_client_name, JobId, JobState, Journal, JournalError};
 pub use queue::{Executor, InProcessExecutor, ProcessExecutor};
 pub use server::{run_server, ServeConfig, ServeError, ServerReport};
-pub use spec::{JobSpec, Tier};
+pub use spec::JobSpec;
 pub use wire::{Client, Endpoint};

@@ -9,43 +9,10 @@
 //! reject at enqueue time, not a silently-default simulation.
 
 use vax780_core::Experiment;
-use vax_cpu::CpuConfig;
+use vax_cpu::{CpuConfig, Tier};
 use vax_fault::{FaultClass, FaultPlan};
 use vax_mem::MemConfig;
 use vax_workloads::{profile, WorkloadKind};
-
-/// Which execution loop the job's CPU model uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Tier {
-    /// Reference interpreter (`CpuConfig::naive_loop`).
-    Naive,
-    /// Predecoded fast loop (`CpuConfig::fast_loop`).
-    Fast,
-    /// Block-compiled tier (the default `CpuConfig`).
-    #[default]
-    Block,
-}
-
-impl Tier {
-    /// Canonical name, as used in `tier=` fields.
-    pub fn name(self) -> &'static str {
-        match self {
-            Tier::Naive => "naive",
-            Tier::Fast => "fast",
-            Tier::Block => "block",
-        }
-    }
-
-    /// Parse a tier name.
-    pub fn parse(s: &str) -> Option<Tier> {
-        match s {
-            "naive" => Some(Tier::Naive),
-            "fast" => Some(Tier::Fast),
-            "block" => Some(Tier::Block),
-            _ => None,
-        }
-    }
-}
 
 /// One simulation request: workload × configuration × fault plan × seed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,7 +25,7 @@ pub struct JobSpec {
     pub warmup: u64,
     /// Override the profile's RNG seed (None = the profile default).
     pub seed: Option<u64>,
-    /// Execution tier for the CPU model.
+    /// Host execution tier for the CPU model (no simulated effect).
     pub tier: Tier,
     /// Model the decode/execute overlap optimisation.
     pub decode_overlap: bool,
@@ -90,7 +57,7 @@ impl JobSpec {
             instructions: 20_000,
             warmup: 5_000,
             seed: None,
-            tier: Tier::Block,
+            tier: Tier::Fast,
             decode_overlap: false,
             cache_kb: None,
             cache_ways: None,
@@ -116,7 +83,7 @@ impl JobSpec {
         if let Some(seed) = self.seed {
             out.push_str(&format!(" seed={seed}"));
         }
-        if self.tier != Tier::Block {
+        if self.tier != Tier::Fast {
             out.push_str(&format!(" tier={}", self.tier.name()));
         }
         if self.decode_overlap {
@@ -185,9 +152,14 @@ impl JobSpec {
                 "warmup" => spec.warmup = number("an instruction count")?,
                 "seed" => spec.seed = Some(number("a seed")?),
                 "tier" => {
-                    spec.tier = Tier::parse(value).ok_or_else(|| {
-                        format!("tier: unknown tier {value:?} (expected naive, fast, or block)")
-                    })?;
+                    // `block` named a third tier that was folded into
+                    // `fast`; journals written before that still replay.
+                    spec.tier = match value {
+                        "block" => Tier::Fast,
+                        _ => Tier::parse(value).ok_or_else(|| {
+                            format!("tier: unknown tier {value:?} (expected naive, fast)")
+                        })?,
+                    };
                 }
                 "decode-overlap" => {
                     spec.decode_overlap = match value {
@@ -269,13 +241,11 @@ impl JobSpec {
 
     /// The CPU configuration this spec asks for.
     pub fn cpu_config(&self) -> CpuConfig {
-        let mut cpu = match self.tier {
-            Tier::Naive => CpuConfig::naive_loop(),
-            Tier::Fast => CpuConfig::fast_loop(),
-            Tier::Block => CpuConfig::default(),
-        };
-        cpu.decode_overlap = self.decode_overlap;
-        cpu
+        CpuConfig {
+            tier: self.tier,
+            decode_overlap: self.decode_overlap,
+            ..CpuConfig::default()
+        }
     }
 
     /// The memory configuration this spec asks for.
@@ -342,7 +312,7 @@ mod tests {
         spec.instructions = 4_000;
         spec.warmup = 1_000;
         spec.seed = Some(42);
-        spec.tier = Tier::Fast;
+        spec.tier = Tier::Naive;
         spec.decode_overlap = true;
         spec.cache_kb = Some(4);
         spec.tb_entries = Some(64);
@@ -359,7 +329,7 @@ mod tests {
         let spec = JobSpec::parse("workload=commercial instructions=8000 warmup=2000")
             .expect("minimal line");
         assert_eq!(spec.workload, WorkloadKind::Commercial);
-        assert_eq!(spec.tier, Tier::Block);
+        assert_eq!(spec.tier, Tier::Fast);
         assert!(spec.faults.is_empty());
         assert!(spec.fault_plan().is_none());
     }
@@ -375,7 +345,7 @@ mod tests {
             ("workload=sci-eng notakv", "key=value"),
             ("workload=sci-eng faults=warp-core", "fault class"),
             ("workload=sci-eng instructions=0", "at least 1"),
-            ("workload=sci-eng tier=turbo", "tier"),
+            ("workload=sci-eng tier=turbo", "expected naive, fast"),
         ] {
             let err = JobSpec::parse(line).expect_err(line);
             assert!(err.contains(needle), "{line}: {err}");

@@ -205,3 +205,53 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// Journals written while `block` was a tier name of its own still open:
+/// `tier=block` and `tier=fast` enqueue records both replay as the fast
+/// tier, run once each, and stream result lines in the canonical
+/// spelling (no `tier=` field, since fast is the default).
+#[test]
+fn legacy_tier_spellings_open_replay_and_stream() {
+    use std::io::Write;
+    let dir = tempdir();
+    let path = dir.join("legacy.journal");
+    drop(Journal::open(&path).unwrap());
+    {
+        let mut tail = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        for (id, tier) in [(1u64, "block"), (2, "fast")] {
+            writeln!(tail, "enqueue {id} {} tier={tier}", spec_for(id).render()).unwrap();
+        }
+    }
+
+    let journal = Journal::open(&path).unwrap();
+    assert_eq!(journal.pending().len(), 2);
+    for id in journal.pending() {
+        let (spec, _) = journal.pending_job(id).unwrap();
+        assert_eq!(spec.tier, vax_cpu::Tier::Fast, "job {id}");
+    }
+    drop(journal);
+
+    let exec = Arc::new(CountingExecutor {
+        runs: Mutex::new(HashMap::new()),
+        fail_seeds: Vec::new(),
+    });
+    let report = run_server(&drain_config(path.clone(), 1), None, exec.clone()).unwrap();
+    assert_eq!(report.done, 2);
+    assert_eq!(*exec.runs.lock().unwrap(), HashMap::from([(1, 1), (2, 1)]));
+
+    let mut out = Vec::new();
+    let lines = Journal::open(&path)
+        .unwrap()
+        .stream_results(&mut out)
+        .unwrap();
+    let out = String::from_utf8(out).unwrap();
+    assert_eq!(lines, 2, "{out}");
+    assert!(!out.contains("tier="), "{out}");
+    for id in [1u64, 2] {
+        assert!(out.contains(&spec_for(id).render()), "{out}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,9 +1,9 @@
 //! Derived per-opcode effect footprints.
 //!
-//! The block tier (vax-cpu) rests on two opcode classifiers —
-//! "cannot redirect execution" and "cannot perturb interrupt state" —
-//! that were written by hand. The paper's lesson is to trust derivation
-//! and measurement over documentation, so this module *derives* a
+//! The fast run loop (vax-cpu) rests on an opcode classifier —
+//! "cannot perturb interrupt state" — that was written by hand. The
+//! paper's lesson is to trust derivation and measurement over
+//! documentation, so this module *derives* a
 //! conservative effect footprint for every opcode from three
 //! independent sources that were each built for other reasons:
 //!
@@ -21,7 +21,7 @@
 //!
 //! No hand list of opcodes appears anywhere below: every rule is a
 //! predicate over those tables. The derived footprints are compared
-//! against the block tier's hand classifiers by `vax-cpu`'s effect
+//! against the run loop's hand classifier by `vax-cpu`'s effect
 //! audit (and by `vax780 lint --effects`), in both directions — a
 //! derived-unsafe opcode claimed safe is unsound (error); a
 //! derived-safe opcode claimed unsafe is foregone coverage (warning).
@@ -30,7 +30,7 @@
 //!
 //! An opcode in the System execute row manipulates machine state, but
 //! only some System-row opcodes perturb the *interrupt-relevant* state
-//! the block tier freezes. The discriminating observation: a System
+//! the run loop relies on. The discriminating observation: a System
 //! opcode whose only architecturally visible destination is a normal
 //! operand (MFPR's `.wl`, PROBEx's condition codes via `.ab` probes,
 //! INSQUE/REMQUE's queue words) cannot be the instruction that raises
@@ -231,20 +231,9 @@ pub fn derive(op: Opcode, cs: &ControlStore) -> EffectSet {
     fx
 }
 
-/// Derived form of the block tier's "may be flattened into a block"
-/// claim: the instruction can neither redirect execution nor perturb
-/// the interrupt state the block entry guards froze.
-///
-/// This is the *opcode-level* footprint; a specific parse can still be
-/// rejected (a register-mode PC operand), which only the consumer with
-/// the parse in hand can check.
-pub fn derived_block_safe(op: Opcode, cs: &ControlStore) -> bool {
-    !derive(op, cs).intersects(EffectSet::REDIRECTS_PC | EffectSet::WRITES_INTERRUPT_STATE)
-}
-
-/// Derived form of the block tier's "may the run continue after this
-/// instruction retires" claim: redirecting PC is fine (the replay
-/// follows), perturbing interrupt state is not.
+/// Derived form of the fast run loop's "may the run continue after this
+/// instruction retires" claim: redirecting PC is fine (the loop follows
+/// it), perturbing interrupt state is not.
 pub fn derived_resume_safe(op: Opcode, cs: &ControlStore) -> bool {
     !derive(op, cs).contains(EffectSet::WRITES_INTERRUPT_STATE)
 }
@@ -278,7 +267,7 @@ mod tests {
     #[test]
     fn interrupt_state_writers_are_exactly_the_uncontinuable_set() {
         // Regression pin: the derived interrupt-state writers. This is
-        // the theorem the block tier's resume classifier must match —
+        // the theorem the run loop's resume classifier must match —
         // pinned here so a table change that silently grows or shrinks
         // the set is visible in this crate, next to the tables.
         let cs = ControlStore::build();
@@ -302,18 +291,6 @@ mod tests {
                 Opcode::Mtpr,
             ]
         );
-    }
-
-    #[test]
-    fn derived_safety_is_monotone_in_the_footprint() {
-        let cs = ControlStore::build();
-        for &op in Opcode::ALL {
-            // Block safety implies resume safety (a block interior
-            // instruction could always have been a terminator).
-            if derived_block_safe(op, &cs) {
-                assert!(derived_resume_safe(op, &cs), "{op:?}");
-            }
-        }
     }
 
     #[test]

@@ -153,12 +153,12 @@ fn upc_triggered_faults_are_reproducible() {
 
 /// Audit pin: an `AtCycle` trigger bisected into the *middle* of a
 /// stretch the fast paths would otherwise coalesce into one bulk clock
-/// advance. With a fault hook installed every tier falls back to
-/// per-cycle ticking (and the block tier refuses to enter blocks), so
-/// the trigger must mature at exactly the same cycle — same fired log,
-/// histogram, counters, and trace stream — under naive, fast, and
-/// block configs. Sweeping the trigger across a contiguous window
-/// catches any cycle the coalesced path could jump over.
+/// advance. With a fault hook installed the fast tier falls back to
+/// per-cycle ticking and one instruction per step, so the trigger must
+/// mature at exactly the same cycle — same fired log, histogram,
+/// counters, and trace stream — under the naive and fast tiers.
+/// Sweeping the trigger across a contiguous window catches any cycle the
+/// coalesced path could jump over.
 #[test]
 fn cycle_trigger_inside_a_bulk_tick_is_tier_invariant() {
     let params = small_profile(WorkloadKind::TimesharingLight, 41);
@@ -166,26 +166,18 @@ fn cycle_trigger_inside_a_bulk_tick_is_tier_invariant() {
         let plan = FaultPlan::new().with(FaultClass::CacheParity, FaultTrigger::AtCycle(trigger));
         let naive = injected_run(&params, CpuConfig::naive_loop(), &plan, 1_500, 3_000);
         assert_eq!(naive.fired.len(), 1, "trigger @{trigger} must mature");
-        for (label, config) in [
-            ("fast", CpuConfig::fast_loop()),
-            ("block", CpuConfig::default()),
-        ] {
-            let run = injected_run(&params, config, &plan, 1_500, 3_000);
-            assert_eq!(run.fired, naive.fired, "{label}: fired log @{trigger}");
-            assert_eq!(
-                run.histogram, naive.histogram,
-                "{label}: histogram @{trigger}"
-            );
-            assert_eq!(run.hw, naive.hw, "{label}: counters @{trigger}");
-            assert_eq!(run.events, naive.events, "{label}: trace @{trigger}");
-        }
+        let run = injected_run(&params, CpuConfig::default(), &plan, 1_500, 3_000);
+        assert_eq!(run.fired, naive.fired, "fired log @{trigger}");
+        assert_eq!(run.histogram, naive.histogram, "histogram @{trigger}");
+        assert_eq!(run.hw, naive.hw, "counters @{trigger}");
+        assert_eq!(run.events, naive.events, "trace @{trigger}");
     }
 }
 
 /// Same audit for µPC-keyed triggers: the Nth issue of the decode
 /// micro-address lands inside what the shortcut paths batch into one
 /// issue run. Sweeping adjacent hit counts bisects the trigger into
-/// the middle of such a run; every tier must agree on when it fires.
+/// the middle of such a run; both tiers must agree on when it fires.
 #[test]
 fn micro_pc_trigger_inside_a_batched_issue_run_is_tier_invariant() {
     let params = small_profile(WorkloadKind::Educational, 57);
@@ -200,19 +192,11 @@ fn micro_pc_trigger_inside_a_batched_issue_run_is_tier_invariant() {
         );
         let naive = injected_run(&params, CpuConfig::naive_loop(), &plan, 1_500, 3_000);
         assert_eq!(naive.fired.len(), 1, "trigger @{hits} hits must mature");
-        for (label, config) in [
-            ("fast", CpuConfig::fast_loop()),
-            ("block", CpuConfig::default()),
-        ] {
-            let run = injected_run(&params, config, &plan, 1_500, 3_000);
-            assert_eq!(run.fired, naive.fired, "{label}: fired log @{hits} hits");
-            assert_eq!(
-                run.histogram, naive.histogram,
-                "{label}: histogram @{hits} hits"
-            );
-            assert_eq!(run.hw, naive.hw, "{label}: counters @{hits} hits");
-            assert_eq!(run.events, naive.events, "{label}: trace @{hits} hits");
-        }
+        let run = injected_run(&params, CpuConfig::default(), &plan, 1_500, 3_000);
+        assert_eq!(run.fired, naive.fired, "fired log @{hits} hits");
+        assert_eq!(run.histogram, naive.histogram, "histogram @{hits} hits");
+        assert_eq!(run.hw, naive.hw, "counters @{hits} hits");
+        assert_eq!(run.events, naive.events, "trace @{hits} hits");
     }
 }
 

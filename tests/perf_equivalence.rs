@@ -1,13 +1,11 @@
-//! The host-loop equivalence contract: both accelerated interpreters —
-//! the predecode fast loop (`CpuConfig::fast_loop`) and the
-//! block-compiled tier on top of it (`CpuConfig::default`) — must be
-//! *indistinguishable* from the naive byte-by-byte loop
-//! (`CpuConfig::naive_loop`) to everything that observes the simulated
-//! machine — µPC histograms, hardware counters, and the full trace
-//! event stream — across every workload profile, while faults are
-//! being injected, and across a checkpoint/resume boundary (a campaign
-//! checkpointed by one loop must resume under any other without a bit
-//! of difference).
+//! The host-loop equivalence contract: the fast tier (`Tier::Fast`, the
+//! default `CpuConfig`) must be *indistinguishable* from the naive
+//! byte-by-byte loop (`CpuConfig::naive_loop`) to everything that
+//! observes the simulated machine — µPC histograms, hardware counters,
+//! and the full trace event stream — across every workload profile,
+//! while faults are being injected, and across a checkpoint/resume
+//! boundary (a campaign checkpointed by one tier must resume under the
+//! other without a bit of difference).
 
 use upc_monitor::{Command, HistogramBoard};
 use vax780_core::{Checkpoint, CompositeStudy, MeasuredWorkload};
@@ -40,7 +38,7 @@ struct Observed {
     fired: Vec<FiredFault>,
     pending_ib_tb_miss: bool,
     predecode_hits: u64,
-    block_replayed: u64,
+    replayed: u64,
     reconciled: bool,
 }
 
@@ -92,7 +90,7 @@ fn observed_run(
         fired: machine.cpu.mem().faults_fired(),
         pending_ib_tb_miss: machine.cpu.pending_ib_tb_miss(),
         predecode_hits: machine.cpu.predecode_stats().hits,
-        block_replayed: machine.cpu.block_stats().replayed,
+        replayed: machine.cpu.block_stats().replayed,
         reconciled,
     }
 }
@@ -119,18 +117,16 @@ fn assert_indistinguishable(name: &str, naive: &Observed, fast: &Observed) {
     assert!(fast.reconciled, "{name}: fast loop fails reconciliation");
 }
 
-/// Every workload profile, all three tiers, full trace-stream
-/// equality. Each accelerated run must also actually *be* its tier —
-/// predecode hits for the fast loop, replayed block instructions for
-/// the block tier — so this can never silently degrade into comparing
-/// naive with naive.
+/// Every workload profile, both tiers, full trace-stream equality. The
+/// fast run must also actually *be* the fast tier — predecode hits, and
+/// instructions retired without a step prologue — so this can never
+/// silently degrade into comparing naive with naive.
 #[test]
 fn all_profiles_bit_identical_across_loops() {
     for (i, kind) in WorkloadKind::ALL.into_iter().enumerate() {
         let params = small_profile(kind, 0x5EED ^ i as u64);
         let naive = observed_run(&params, CpuConfig::naive_loop(), None, 1_500, 4_000);
-        let fast = observed_run(&params, CpuConfig::fast_loop(), None, 1_500, 4_000);
-        let block = observed_run(&params, CpuConfig::default(), None, 1_500, 4_000);
+        let fast = observed_run(&params, CpuConfig::default(), None, 1_500, 4_000);
         assert_eq!(
             naive.predecode_hits,
             0,
@@ -143,26 +139,25 @@ fn all_profiles_bit_identical_across_loops() {
             kind.name()
         );
         assert_eq!(
-            fast.block_replayed,
+            naive.replayed,
             0,
-            "{}: fast loop must not enter blocks",
+            "{}: naive loop must not use the run loop",
             kind.name()
         );
         assert!(
-            block.block_replayed > 0,
-            "{}: block tier never replayed a block",
+            fast.replayed > 0,
+            "{}: fast run loop never continued past one instruction",
             kind.name()
         );
         assert_indistinguishable(kind.name(), &naive, &fast);
-        assert_indistinguishable(kind.name(), &naive, &block);
     }
 }
 
 /// The contract holds while machine checks are being injected and
-/// recovered from: the same faults fire at the same cycles under every
-/// tier, and every downstream observable stays bit-identical. (While a
-/// fault hook is installed the block tier refuses to enter blocks and
-/// the fast paths tick per-cycle, so the measured region is exact by
+/// recovered from: the same faults fire at the same cycles under both
+/// tiers, and every downstream observable stays bit-identical. (While a
+/// fault hook is installed the fast tier steps one instruction per call
+/// and its fast paths tick per-cycle, so the measured region is exact by
 /// construction — this pins that the fallback actually engages.)
 #[test]
 fn bit_identical_under_fault_injection() {
@@ -170,8 +165,7 @@ fn bit_identical_under_fault_injection() {
     for kind in [WorkloadKind::TimesharingLight, WorkloadKind::SciEng] {
         let params = small_profile(kind, 0xFA17);
         let naive = observed_run(&params, CpuConfig::naive_loop(), Some(&plan), 2_000, 5_000);
-        let fast = observed_run(&params, CpuConfig::fast_loop(), Some(&plan), 2_000, 5_000);
-        let block = observed_run(&params, CpuConfig::default(), Some(&plan), 2_000, 5_000);
+        let fast = observed_run(&params, CpuConfig::default(), Some(&plan), 2_000, 5_000);
         assert!(
             !naive.fired.is_empty(),
             "{}: the plan must actually inject",
@@ -180,17 +174,10 @@ fn bit_identical_under_fault_injection() {
         assert_eq!(
             naive.fired,
             fast.fired,
-            "{}: fault logs differ (fast)",
-            kind.name()
-        );
-        assert_eq!(
-            naive.fired,
-            block.fired,
-            "{}: fault logs differ (block)",
+            "{}: fault logs differ",
             kind.name()
         );
         assert_indistinguishable(kind.name(), &naive, &fast);
-        assert_indistinguishable(kind.name(), &naive, &block);
     }
 }
 
@@ -211,9 +198,8 @@ fn assert_same_measurements(label: &str, a: &[MeasuredWorkload], b: &[MeasuredWo
 
 /// A campaign checkpointed under one tier resumes under another with
 /// nothing to show for it: the combined results equal an uninterrupted
-/// single-tier campaign, in both block<->naive crossing directions
-/// (plus fast->block). This is what licenses flipping `CpuConfig`
-/// between a crash and its resume.
+/// single-tier campaign, in both fast<->naive crossing directions. This
+/// is what licenses flipping `CpuConfig` between a crash and its resume.
 #[test]
 fn checkpoint_resume_crosses_loop_boundary() {
     let kinds = [
@@ -235,17 +221,8 @@ fn checkpoint_resume_crosses_loop_boundary() {
     std::fs::create_dir_all(&dir).unwrap();
 
     for (first, second, label) in [
-        (
-            CpuConfig::naive_loop(),
-            CpuConfig::default(),
-            "naive->block",
-        ),
-        (
-            CpuConfig::default(),
-            CpuConfig::naive_loop(),
-            "block->naive",
-        ),
-        (CpuConfig::fast_loop(), CpuConfig::default(), "fast->block"),
+        (CpuConfig::naive_loop(), CpuConfig::default(), "naive->fast"),
+        (CpuConfig::default(), CpuConfig::naive_loop(), "fast->naive"),
     ] {
         let path = dir.join(format!("{}.ckpt", label.replace("->", "-")));
         {

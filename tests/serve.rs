@@ -39,7 +39,7 @@ const SPECS: &[&str] = &[
      faults=cache-parity+sbi-timeout fault-seed=780 fault-count=2",
     "workload=educational instructions=30000 warmup=2000 seed=4",
     "workload=timesharing-heavy instructions=40000 warmup=2000 seed=5",
-    "workload=educational instructions=40000 warmup=2000 seed=6 tier=fast",
+    "workload=educational instructions=40000 warmup=2000 seed=6 tier=naive",
 ];
 
 fn enqueue_batch(target_flag: &str, target: impl AsRef<std::ffi::OsStr>) {
