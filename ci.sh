@@ -6,6 +6,9 @@ set -eux
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test --workspace -q
+# The benchmark (perfbench/, its own package, frozen) compiles against
+# the crates' public APIs: an API change that breaks it must fail here.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 # Static verification: every built-in profile must lint clean — with
 # the run-loop effect audit included — warnings promoted to errors
 # (generation is seed-deterministic, so this is stable).

@@ -320,7 +320,8 @@ impl MapBuilder {
     }
 }
 
-/// Copy `data` into virtual memory at `va` via software walk.
+/// Copy `data` into virtual memory at `va` via software walk: one walk
+/// per page touched, then one contiguous copy into that page's frame.
 ///
 /// # Panics
 ///
@@ -332,11 +333,16 @@ pub fn load_virtual(
     va: u32,
     data: &[u8],
 ) {
-    for (i, &b) in data.iter().enumerate() {
-        let va = va + i as u32;
+    let mut va = va;
+    let mut rest = data;
+    while !rest.is_empty() {
+        let room = (PAGE_BYTES - (va & (PAGE_BYTES - 1))) as usize;
+        let n = rest.len().min(room);
         let pa = resolve_va(phys, sys, space, va)
             .unwrap_or_else(|| panic!("load_virtual: {va:#010x} unmapped"));
-        phys.write_u8(pa, b);
+        phys.load(pa, &rest[..n]);
+        rest = &rest[n..];
+        va = va.wrapping_add(n as u32);
     }
 }
 

@@ -101,10 +101,18 @@ impl PhysMem {
         self.write_u32(pa.wrapping_add(4), (v >> 32) as u32);
     }
 
-    /// Copy a slice into memory at `pa`.
+    /// Copy a slice into memory at `pa`: one `copy_from_slice` per
+    /// contiguous run. A span past the top of memory wraps to address 0,
+    /// byte for byte as a loop of [`PhysMem::write_u8`] would (later
+    /// bytes overwrite earlier ones if the span exceeds memory).
     pub fn load(&mut self, pa: u32, data: &[u8]) {
-        for (i, &b) in data.iter().enumerate() {
-            self.write_u8(pa.wrapping_add(i as u32), b);
+        let mut at = self.idx(pa);
+        let mut rest = data;
+        while !rest.is_empty() {
+            let n = rest.len().min(self.bytes.len() - at);
+            self.bytes[at..at + n].copy_from_slice(&rest[..n]);
+            rest = &rest[n..];
+            at = 0;
         }
     }
 }

@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use vax_mem::{
-    load_virtual, resolve_va, Cache, CacheConfig, MapBuilder, MemConfig, MemorySubsystem, Stream,
-    Tb, TbConfig, Width, PAGE_BYTES,
+    load_virtual, resolve_va, AddressSpace, Cache, CacheConfig, MapBuilder, MemConfig,
+    MemorySubsystem, PhysMem, Stream, SystemMap, Tb, TbConfig, Width, PAGE_BYTES,
 };
 
 fn small_machine() -> MemorySubsystem {
@@ -18,8 +18,81 @@ fn small_machine() -> MemorySubsystem {
     mem
 }
 
+/// Program pages of [`scattered_process`].
+const P0_PAGES: u32 = 16;
+
+/// A process whose P0 frames run in *reverse* page order (its PTEs are
+/// remapped after `create_process` laid them out ascending), so every
+/// page boundary a span crosses lands in a non-adjacent frame.
+fn scattered_process(phys: &mut PhysMem) -> (SystemMap, AddressSpace) {
+    let mut mb = MapBuilder::new(phys, 256);
+    let space = mb.create_process(phys, P0_PAGES, 1);
+    let sys = mb.system_map();
+    let pte_pas: Vec<u32> = (0..P0_PAGES)
+        .map(|i| resolve_va(phys, &sys, &AddressSpace::empty(), space.p0br + i * 4).unwrap())
+        .collect();
+    let ptes: Vec<u32> = pte_pas.iter().map(|&pa| phys.read_u32(pa)).collect();
+    for (&pa, &pte) in pte_pas.iter().zip(ptes.iter().rev()) {
+        phys.write_u32(pa, pte);
+    }
+    let first = resolve_va(phys, &sys, &space, 0).unwrap();
+    let second = resolve_va(phys, &sys, &space, PAGE_BYTES).unwrap();
+    assert_ne!(second, first + PAGE_BYTES, "frames still adjacent");
+    (sys, space)
+}
+
+/// The first physical address where two memories differ.
+fn first_difference(a: &PhysMem, b: &PhysMem) -> Option<u32> {
+    (0..a.size()).find(|&pa| a.read_u8(pa) != b.read_u8(pa))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The page-at-a-time loader writes exactly what a walk per byte
+    /// writes — nothing more, nothing elsewhere — for spans at any page
+    /// offset, whether the pages' frames are adjacent or scattered.
+    #[test]
+    fn load_virtual_matches_a_bytewise_walk(
+        page in 0u32..(P0_PAGES - 8),
+        offset in 0u32..PAGE_BYTES,
+        data in prop::collection::vec(any::<u8>(), 1..=3000),
+        scattered: bool,
+    ) {
+        let mut phys = PhysMem::new(1 << 18);
+        let (sys, space) = if scattered {
+            scattered_process(&mut phys)
+        } else {
+            let mut mb = MapBuilder::new(&phys, 256);
+            let space = mb.create_process(&mut phys, P0_PAGES, 1);
+            (mb.system_map(), space)
+        };
+        let mut reference = phys.clone();
+        let va = page * PAGE_BYTES + offset;
+        load_virtual(&mut phys, &sys, &space, va, &data);
+        for (i, &b) in data.iter().enumerate() {
+            let pa = resolve_va(&reference, &sys, &space, va + i as u32).unwrap();
+            reference.write_u8(pa, b);
+        }
+        prop_assert_eq!(first_difference(&phys, &reference), None);
+    }
+
+    /// `PhysMem::load` past the top of memory wraps to address 0 exactly
+    /// as one masked byte write per byte does, spans longer than memory
+    /// included (later bytes win).
+    #[test]
+    fn phys_load_wraps_like_bytewise_writes(
+        pa in 0u32..4096,
+        data in prop::collection::vec(any::<u8>(), 1..10_000),
+    ) {
+        let mut fast = PhysMem::new(4096);
+        let mut slow = fast.clone();
+        fast.load(pa, &data);
+        for (i, &b) in data.iter().enumerate() {
+            slow.write_u8(pa.wrapping_add(i as u32) & 4095, b);
+        }
+        prop_assert_eq!(first_difference(&fast, &slow), None);
+    }
 
     /// A second probe of any just-filled cache block hits.
     #[test]

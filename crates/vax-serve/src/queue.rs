@@ -194,34 +194,12 @@ impl Executor for ProcessExecutor {
         };
         let stdout = drain(child.stdout.take().map(|p| Box::new(p) as _));
         let stderr = drain(child.stderr.take().map(|p| Box::new(p) as _));
-        let deadline = timeout.map(|t| Instant::now() + t);
-        let status = loop {
-            match child.try_wait() {
-                Ok(Some(status)) => break status,
-                Ok(None) => {
-                    if let Some(deadline) = deadline {
-                        if Instant::now() >= deadline {
-                            // The child may exit cleanly between the
-                            // deadline check and the kill landing. The
-                            // reaped status is the truth: a success
-                            // here means a complete result blob is
-                            // already in the stdout pipe, so honour it
-                            // instead of discarding a finished job as
-                            // a timeout.
-                            match kill_and_reap(&mut child) {
-                                Some(status) if status.success() => break status,
-                                _ => return Err(ExecError::Timeout(timeout.unwrap_or_default())),
-                            }
-                        }
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    return Err(ExecError::Failed(format!("wait: {e}")));
-                }
-            }
+        let status = match timeout {
+            None => child.wait().map_err(|e| {
+                let _ = child.kill();
+                ExecError::Failed(format!("wait: {e}"))
+            })?,
+            Some(timeout) => wait_with_deadline(&mut child, timeout)?,
         };
         let out = stdout.join().unwrap_or_default();
         let err = stderr.join().unwrap_or_default();
@@ -241,6 +219,37 @@ impl Executor for ProcessExecutor {
 impl ProcessExecutor {
     fn spec_name(&self, spec: &JobSpec) -> &'static str {
         spec.workload.name()
+    }
+}
+
+/// Poll a child every 5 ms until it exits or `timeout` passes; on the
+/// deadline, kill it and report a timeout.
+fn wait_with_deadline(
+    child: &mut std::process::Child,
+    timeout: Duration,
+) -> Result<std::process::ExitStatus, ExecError> {
+    let deadline = Instant::now() + timeout;
+    loop {
+        match child.try_wait() {
+            Ok(Some(status)) => return Ok(status),
+            Ok(None) if Instant::now() >= deadline => {
+                // The child may exit cleanly between the deadline check
+                // and the kill landing. The reaped status is the truth:
+                // a success here means a complete result blob is already
+                // in the stdout pipe, so honour it instead of discarding
+                // a finished job as a timeout.
+                return match kill_and_reap(child) {
+                    Some(status) if status.success() => Ok(status),
+                    _ => Err(ExecError::Timeout(timeout)),
+                };
+            }
+            Ok(None) => std::thread::sleep(Duration::from_millis(5)),
+            Err(e) => {
+                let _ = child.kill();
+                let _ = child.wait();
+                return Err(ExecError::Failed(format!("wait: {e}")));
+            }
+        }
     }
 }
 

@@ -131,6 +131,10 @@ struct State {
     queue: VecDeque<JobId>,
     running: BTreeSet<JobId>,
     draining: bool,
+    /// `drain` replies still being written. A settled queue stops the
+    /// server only once these are done, so a drain client is never cut
+    /// off before its `end`.
+    drain_streams: usize,
     shutdown: bool,
     fatal: Option<String>,
     worker_metrics: Vec<SelfMetrics>,
@@ -207,6 +211,7 @@ pub fn run_server(
             queue,
             running: BTreeSet::new(),
             draining: config.drain_on_start,
+            drain_streams: 0,
             shutdown: false,
             fatal: None,
             worker_metrics: vec![SelfMetrics::new(); workers],
@@ -235,21 +240,29 @@ pub fn run_server(
             std::thread::spawn(move || worker_loop(&shared, executor.as_ref(), index))
         })
         .collect();
-    let listener_handle = listener.map(|listener| {
+    // The listener blocks in `accept`; shutdown releases it below with
+    // `Listener::wake`. The socket stays open (this function holds a
+    // reference) until then, so the wake always has someone to reach.
+    let listening = listener.map(|listener| {
+        let listener = Arc::new(listener);
+        let accepting = Arc::clone(&listener);
         let shared = Arc::clone(&shared);
-        std::thread::spawn(move || loop {
+        let handle = std::thread::spawn(move || loop {
+            let accepted = accepting.accept();
             if shared.lock().shutdown {
                 break;
             }
-            match listener.accept() {
-                Ok(Some(conn)) => {
+            match accepted {
+                Ok(conn) => {
                     let shared = Arc::clone(&shared);
                     std::thread::spawn(move || handle_conn(&shared, conn));
                 }
-                Ok(None) => std::thread::sleep(Duration::from_millis(20)),
+                // Back off so a persistent error (out of descriptors)
+                // cannot spin the thread.
                 Err(_) => std::thread::sleep(Duration::from_millis(20)),
             }
-        })
+        });
+        (listener, handle)
     });
 
     // Supervisor: wait for a shutdown, or for a draining queue to
@@ -260,7 +273,8 @@ pub fn run_server(
             if st.shutdown {
                 break;
             }
-            if st.draining && st.queue.is_empty() && st.running.is_empty() {
+            if st.draining && st.drain_streams == 0 && st.queue.is_empty() && st.running.is_empty()
+            {
                 st.shutdown = true;
                 shared.cv.notify_all();
                 break;
@@ -272,10 +286,17 @@ pub fn run_server(
                 .0;
         }
     }
-    for handle in worker_handles {
-        let _ = handle.join();
+    if let Some((listener, handle)) = listening {
+        match listener.wake() {
+            Ok(()) => {
+                let _ = handle.join();
+            }
+            // Never hang shutdown on the listener: leave its thread
+            // parked in `accept`.
+            Err(e) => eprintln!("vax780 serve: could not wake the listener to stop it: {e}"),
+        }
     }
-    if let Some(handle) = listener_handle {
+    for handle in worker_handles {
         let _ = handle.join();
     }
     if let Some(Endpoint::Unix(path)) = endpoint {
@@ -431,11 +452,13 @@ fn handle_conn(shared: &Shared, conn: Conn) {
             writeln!(writer, "{reply}")
         }
         "shutdown" => {
+            // Reply before stopping: once the flag is set the server may
+            // return, and its process exit, at any moment.
+            let reply = writeln!(writer, "ok").and_then(|()| writer.flush());
             let mut st = shared.lock();
             st.shutdown = true;
             shared.cv.notify_all();
-            drop(st);
-            writeln!(writer, "ok")
+            reply
         }
         _ => writeln!(
             writer,
@@ -570,9 +593,11 @@ fn handle_drain(shared: &Shared, writer: &mut dyn Write) -> std::io::Result<()> 
     let last = {
         let mut st = shared.lock();
         st.draining = true;
+        st.drain_streams += 1;
         shared.cv.notify_all();
         st.journal.last_id()
     };
+    let _stream = DrainStream(shared);
     'ids: for id in 1..=last {
         let line = {
             let mut st = shared.lock();
@@ -609,6 +634,17 @@ fn handle_drain(shared: &Shared, writer: &mut dyn Write) -> std::io::Result<()> 
     st.shutdown = true;
     shared.cv.notify_all();
     Ok(())
+}
+
+/// Holds one count in `State::drain_streams` for the life of a `drain`
+/// reply, however it ends.
+struct DrainStream<'a>(&'a Shared);
+
+impl Drop for DrainStream<'_> {
+    fn drop(&mut self) {
+        self.0.lock().drain_streams -= 1;
+        self.0.cv.notify_all();
+    }
 }
 
 /// Hand one job to a remote worker and record what it sends back.
@@ -810,6 +846,7 @@ mod tests {
                 queue: VecDeque::new(),
                 running: BTreeSet::new(),
                 draining: false,
+                drain_streams: 0,
                 shutdown: false,
                 fatal: None,
                 worker_metrics: Vec::new(),

@@ -23,10 +23,14 @@
 //! one request that holds its connection open: the attempt runs on the
 //! worker's machine while the server waits, and a dropped connection
 //! counts as a retryable failed attempt.
+//!
+//! The listener blocks in `accept`, so a connection is taken the moment
+//! it arrives; nothing polls. To stop it, the server sets its shutdown
+//! flag and then [`Listener::wake`]s it with one throwaway connection.
 
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -74,15 +78,9 @@ impl Endpoint {
                 // socket file behind; binding over it would fail even
                 // though nobody is listening.
                 let _ = std::fs::remove_file(path);
-                let listener = UnixListener::bind(path)?;
-                listener.set_nonblocking(true)?;
-                Ok(Listener::Unix(listener))
+                UnixListener::bind(path).map(Listener::Unix)
             }
-            Endpoint::Tcp(addr) => {
-                let listener = TcpListener::bind(addr)?;
-                listener.set_nonblocking(true)?;
-                Ok(Listener::Tcp(listener))
-            }
+            Endpoint::Tcp(addr) => TcpListener::bind(addr).map(Listener::Tcp),
         }
     }
 
@@ -108,7 +106,9 @@ impl Endpoint {
     }
 }
 
-/// A bound, non-blocking listener.
+/// A bound, blocking listener. A thread parked in [`Listener::accept`]
+/// is released by the next connection, which is how [`Listener::wake`]
+/// stops it on shutdown.
 #[derive(Debug)]
 pub enum Listener {
     /// Unix-domain socket.
@@ -118,23 +118,45 @@ pub enum Listener {
 }
 
 impl Listener {
-    /// Accept one connection if one is ready (non-blocking).
+    /// Block until a connection arrives and accept it.
     ///
     /// # Errors
     ///
-    /// Accept errors other than `WouldBlock` (which yields `Ok(None)`).
-    pub fn accept(&self) -> io::Result<Option<Conn>> {
-        let conn = match self {
+    /// The underlying accept error.
+    pub fn accept(&self) -> io::Result<Conn> {
+        match self {
             Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
             Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
-        };
-        match conn {
-            Ok(conn) => {
-                conn.set_blocking()?;
-                Ok(Some(conn))
+        }
+    }
+
+    /// Connect to this listener once and hang up, releasing a thread
+    /// blocked in [`Listener::accept`]. The address is the listener's
+    /// own `local_addr()`, so a TCP port 0 bind reaches its real port
+    /// and a wildcard bind is reached over loopback.
+    ///
+    /// # Errors
+    ///
+    /// The local address is unknown, or the connect fails.
+    pub fn wake(&self) -> io::Result<()> {
+        match self {
+            Listener::Unix(l) => {
+                let addr = l.local_addr()?;
+                let path = addr.as_pathname().ok_or_else(|| {
+                    io::Error::new(io::ErrorKind::AddrNotAvailable, "unnamed Unix socket")
+                })?;
+                UnixStream::connect(path).map(drop)
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(e),
+            Listener::Tcp(l) => {
+                let mut addr = l.local_addr()?;
+                if addr.ip().is_unspecified() {
+                    addr.set_ip(match addr.ip() {
+                        IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                        IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+                    });
+                }
+                TcpStream::connect(addr).map(drop)
+            }
         }
     }
 }
@@ -149,13 +171,6 @@ pub enum Conn {
 }
 
 impl Conn {
-    fn set_blocking(&self) -> io::Result<()> {
-        match self {
-            Conn::Unix(s) => s.set_nonblocking(false),
-            Conn::Tcp(s) => s.set_nonblocking(false),
-        }
-    }
-
     /// Bound how long reads may block (`None` = forever).
     ///
     /// # Errors
@@ -305,21 +320,13 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let endpoint = Endpoint::Unix(dir.join("s.sock"));
         let listener = endpoint.bind().unwrap();
-        let server_endpoint = endpoint.clone();
         let server = std::thread::spawn(move || {
-            let _ = &server_endpoint;
-            loop {
-                if let Some(conn) = listener.accept().unwrap() {
-                    let (mut reader, mut writer) = conn.split().unwrap();
-                    let mut line = String::new();
-                    reader.read_line(&mut line).unwrap();
-                    assert_eq!(line.trim_end(), "status");
-                    writeln!(writer, "ok pending 0").unwrap();
-                    writeln!(writer, "end").unwrap();
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            let (mut reader, mut writer) = listener.accept().unwrap().split().unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            assert_eq!(line.trim_end(), "status");
+            writeln!(writer, "ok pending 0").unwrap();
+            writeln!(writer, "end").unwrap();
         });
         let client = Client::new(endpoint, Duration::from_secs(2));
         let mut out = Vec::new();

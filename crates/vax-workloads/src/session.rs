@@ -375,9 +375,7 @@ pub fn try_build_machine_with_config(
         load_virtual(mem.phys_mut(), &system, &space, ksp, &frame);
         let usp = vax_mem::P1_BASE + USER_STACK_PAGES * PAGE_BYTES;
         let pcb = process::build_pcb(&space, ksp, usp);
-        for (off, b) in pcb.iter().enumerate() {
-            mem.phys_mut().write_u8(pcb_pas[i] + off as u32, *b);
-        }
+        mem.phys_mut().load(pcb_pas[i], &pcb);
     }
 
     // ----- CPU -----------------------------------------------------------------

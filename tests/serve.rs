@@ -380,3 +380,40 @@ fn remote_tcp_worker_settles_the_queue_bit_identical() {
         "remote execution must reproduce in-process results bit for bit"
     );
 }
+
+/// `--process-workers` runs each attempt in a `job-worker` child. With
+/// no deadline the executor blocks in `wait()`; with one it polls until
+/// the deadline. Both must settle the batch byte-identical to the
+/// in-process serial reference.
+#[test]
+fn process_workers_settle_bit_identical_with_and_without_a_deadline() {
+    let dir = tempdir("vax780-serve-process-workers-test");
+    let drain = |name: &str, flags: &[&str]| {
+        let journal = dir.join(format!("{name}.journal"));
+        let out_path = dir.join(format!("{name}.jsonl"));
+        enqueue_batch("--queue", &journal);
+        let out = vax780()
+            .args(["drain", "--queue"])
+            .arg(&journal)
+            .args(flags)
+            .arg("--out")
+            .arg(&out_path)
+            .output()
+            .expect("runs");
+        assert!(
+            out.status.success(),
+            "{name} drain failed:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        std::fs::read_to_string(out_path).unwrap()
+    };
+    let reference = drain("reference", &["--serial"]);
+    assert_eq!(reference.lines().count(), SPECS.len());
+    let blocking = drain("blocking", &["--jobs", "2", "--process-workers"]);
+    assert_eq!(blocking, reference);
+    let deadline = drain(
+        "deadline",
+        &["--jobs", "2", "--process-workers", "--timeout-secs", "300"],
+    );
+    assert_eq!(deadline, reference);
+}
