@@ -34,9 +34,16 @@ cargo run --release -- run --workload all --instructions 5000 --warmup 1500 \
     > "$CKPT_DIR/uninterrupted.txt"
 cargo run --release -- run --workload all --instructions 5000 --warmup 1500 \
     --checkpoint "$CKPT_DIR/campaign.ckpt" --halt-after 2 > /dev/null
+# A copy with its last record torn, as a kill mid-append leaves it: the
+# resume must drop the partial record, re-run that job, and still match.
+cp "$CKPT_DIR/campaign.ckpt" "$CKPT_DIR/torn.ckpt"
+truncate -s -7 "$CKPT_DIR/torn.ckpt"
 cargo run --release -- run --workload all --instructions 5000 --warmup 1500 \
     --checkpoint "$CKPT_DIR/campaign.ckpt" > "$CKPT_DIR/resumed.txt"
 diff "$CKPT_DIR/uninterrupted.txt" "$CKPT_DIR/resumed.txt"
+cargo run --release -- run --workload all --instructions 5000 --warmup 1500 \
+    --checkpoint "$CKPT_DIR/torn.ckpt" > "$CKPT_DIR/resumed-torn.txt"
+diff "$CKPT_DIR/uninterrupted.txt" "$CKPT_DIR/resumed-torn.txt"
 
 # Serve gate: the job queue must survive kill -9. Start a server, feed
 # it a mixed batch (one fault-plan job included) over its socket,

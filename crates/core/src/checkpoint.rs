@@ -2,22 +2,84 @@
 //!
 //! A checkpoint file records every completed job of a composite
 //! campaign — label, lengths, and the full measurement (histogram plus
-//! hardware counters, via the `upc-monitor` text codec). The file is
-//! append-only: the header is written once, and each finished job adds
-//! one self-contained section, so a campaign killed mid-flight loses at
+//! hardware counters) as a [`record_log`](crate::record_log)
+//! measurement section. The file is an append-only record log: the
+//! header is written once, and each finished job adds one
+//! self-contained section, so a campaign killed mid-flight loses at
 //! most the jobs that were still running. Resuming replays completed
 //! jobs from the file byte-for-byte and runs only the missing ones; the
 //! final merged result is bit-identical to an uninterrupted campaign.
 
+use crate::record_log::{self, Appender, LineReader, Reject, Section};
 use crate::MeasuredWorkload;
 use std::fmt;
-use std::fs::OpenOptions;
-use std::io::Write;
+use std::fs::File;
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
-use upc_monitor::codec;
 use vax_workloads::WorkloadKind;
 
 const HEADER: &str = "vax-campaign-checkpoint v1";
+
+/// The campaign settings a checkpoint's measurements depend on. A
+/// resume must match them exactly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CheckpointConfig {
+    /// Measured instructions per job.
+    pub instructions: u64,
+    /// Warm-up instructions per job.
+    pub warmup: u64,
+    /// The CPU folds the decode cycle (11/750-style).
+    pub decode_overlap: bool,
+}
+
+impl CheckpointConfig {
+    /// The file's `config` line. `decode-overlap` is written only when
+    /// set, so default checkpoints keep their original bytes.
+    fn line(&self) -> String {
+        let overlap = if self.decode_overlap {
+            " decode-overlap"
+        } else {
+            ""
+        };
+        format!(
+            "config instructions {} warmup {}{overlap}",
+            self.instructions, self.warmup
+        )
+    }
+
+    fn parse(line: &str) -> Option<CheckpointConfig> {
+        let (lengths, decode_overlap) = match line.trim().strip_suffix(" decode-overlap") {
+            Some(lengths) => (lengths, true),
+            None => (line, false),
+        };
+        match lengths
+            .split_ascii_whitespace()
+            .collect::<Vec<_>>()
+            .as_slice()
+        {
+            ["config", "instructions", i, "warmup", w] => Some(CheckpointConfig {
+                instructions: i.parse().ok()?,
+                warmup: w.parse().ok()?,
+                decode_overlap,
+            }),
+            _ => None,
+        }
+    }
+}
+
+impl fmt::Display for CheckpointConfig {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "instructions={} warmup={}",
+            self.instructions, self.warmup
+        )?;
+        if self.decode_overlap {
+            f.write_str(" decode-overlap")?;
+        }
+        Ok(())
+    }
+}
 
 /// Why a checkpoint could not be loaded, created, or extended.
 #[derive(Debug)]
@@ -37,15 +99,16 @@ pub enum CheckpointError {
         /// What was wrong, with a line number where available.
         detail: String,
     },
-    /// The checkpoint was written by a campaign with different lengths;
-    /// resuming it would silently mix incompatible measurements.
+    /// The checkpoint was written by a campaign with different
+    /// settings; resuming it would silently mix incompatible
+    /// measurements.
     ConfigMismatch {
         /// The checkpoint path.
         path: PathBuf,
-        /// `(instructions, warmup)` recorded in the file.
-        found: (u64, u64),
-        /// `(instructions, warmup)` of the resuming campaign.
-        expected: (u64, u64),
+        /// The settings recorded in the file.
+        found: CheckpointConfig,
+        /// The settings of the resuming campaign.
+        expected: CheckpointConfig,
     },
 }
 
@@ -64,13 +127,9 @@ impl fmt::Display for CheckpointError {
                 expected,
             } => write!(
                 f,
-                "checkpoint {} was written by a campaign with instructions={} warmup={} \
-                 (this campaign has instructions={} warmup={})",
+                "checkpoint {} was written by a campaign with {found} \
+                 (this campaign has {expected})",
                 path.display(),
-                found.0,
-                found.1,
-                expected.0,
-                expected.1
             ),
         }
     }
@@ -89,234 +148,137 @@ impl std::error::Error for CheckpointError {
 #[derive(Debug)]
 pub struct Checkpoint {
     path: PathBuf,
-    instructions_each: u64,
-    warmup_each: u64,
+    log: Appender,
     jobs: Vec<(String, MeasuredWorkload)>,
     warnings: Vec<String>,
 }
 
+fn is_record_start(line: &str) -> bool {
+    line == "end" || line.starts_with("job ")
+}
+
 impl Checkpoint {
-    /// Open `path` for a campaign with the given lengths. A missing file
-    /// is created with just the header; an existing one is parsed and
-    /// its recorded config verified against the campaign's.
+    /// Open `path` for a campaign with the given lengths on the default
+    /// CPU. See [`Checkpoint::open_for`].
     ///
     /// # Errors
     ///
-    /// [`CheckpointError`] on I/O failure, unparseable contents, or a
-    /// config mismatch.
+    /// As [`Checkpoint::open_for`].
     pub fn open(
         path: &Path,
         instructions_each: u64,
         warmup_each: u64,
     ) -> Result<Checkpoint, CheckpointError> {
+        Checkpoint::open_for(
+            path,
+            CheckpointConfig {
+                instructions: instructions_each,
+                warmup: warmup_each,
+                decode_overlap: false,
+            },
+        )
+    }
+
+    /// Open `path` for a campaign with the given settings. A missing (or
+    /// empty) file is created with just the header; an existing one is
+    /// replayed and its recorded settings verified against `config`. A
+    /// torn trailing record (a partial append left by a mid-write kill)
+    /// is dropped with a warning and cut off the file. Corruption
+    /// *before* the trailing record — or any fully terminated record
+    /// that fails to parse — is a hard [`CheckpointError::Corrupt`].
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError`] on I/O failure, unparseable contents, or a
+    /// config mismatch.
+    pub fn open_for(path: &Path, config: CheckpointConfig) -> Result<Checkpoint, CheckpointError> {
         let io_err = |source| CheckpointError::Io {
             path: path.to_path_buf(),
             source,
         };
-        match std::fs::read_to_string(path) {
-            Ok(text) => {
-                let (cp, torn_at) = Checkpoint::parse(path, &text)?;
-                if (cp.instructions_each, cp.warmup_each) != (instructions_each, warmup_each) {
-                    return Err(CheckpointError::ConfigMismatch {
-                        path: path.to_path_buf(),
-                        found: (cp.instructions_each, cp.warmup_each),
-                        expected: (instructions_each, warmup_each),
-                    });
-                }
-                if let Some(good) = torn_at {
-                    // Drop the torn tail on disk too, so the next
-                    // `record` appends after the last good record
-                    // instead of splicing onto a partial line.
-                    for w in &cp.warnings {
-                        eprintln!("checkpoint {}: {w}", path.display());
-                    }
-                    std::fs::write(path, &text[..good]).map_err(io_err)?;
-                }
-                Ok(cp)
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                std::fs::write(
-                    path,
-                    format!(
-                        "{HEADER}\nconfig instructions {instructions_each} warmup {warmup_each}\n"
-                    ),
-                )
+        let mut cp = Checkpoint {
+            path: path.to_path_buf(),
+            log: Appender::open(path).map_err(io_err)?,
+            jobs: Vec::new(),
+            warnings: Vec::new(),
+        };
+        if cp.log.end() == 0 {
+            cp.log
+                .append(&format!("{HEADER}\n{}\n", config.line()))
                 .map_err(io_err)?;
-                Ok(Checkpoint {
-                    path: path.to_path_buf(),
-                    instructions_each,
-                    warmup_each,
-                    jobs: Vec::new(),
-                    warnings: Vec::new(),
-                })
-            }
-            Err(e) => Err(io_err(e)),
+            return Ok(cp);
         }
+        let file = File::open(path).map_err(io_err)?;
+        let (found, replayed) = cp.replay(file)?;
+        if found != config {
+            return Err(CheckpointError::ConfigMismatch {
+                path: path.to_path_buf(),
+                found,
+                expected: config,
+            });
+        }
+        if let Some(torn) = replayed.torn {
+            let warning = format!("{torn}; the job will be re-run");
+            eprintln!("checkpoint {}: {warning}", path.display());
+            cp.warnings.push(warning);
+            // The next `record` appends after the last good record
+            // instead of splicing onto a partial line.
+            cp.log.truncate(replayed.good).map_err(io_err)?;
+        }
+        Ok(cp)
     }
 
-    /// Parse the checkpoint text. On success the second element is
-    /// `Some(byte_offset)` when a torn trailing record (a partial
-    /// append left by a mid-write kill) was detected and dropped: the
-    /// offset is the end of the last good record, and a warning is
-    /// recorded on the returned checkpoint. Corruption *before* the
-    /// trailing record — or any fully terminated record that fails to
-    /// parse — is still a hard [`CheckpointError::Corrupt`].
-    fn parse(path: &Path, text: &str) -> Result<(Checkpoint, Option<usize>), CheckpointError> {
+    /// Replay the header, the config line, and every job section.
+    fn replay(
+        &mut self,
+        file: File,
+    ) -> Result<(CheckpointConfig, record_log::Replayed), CheckpointError> {
         let corrupt = |detail: String| CheckpointError::Corrupt {
-            path: path.to_path_buf(),
+            path: self.path.clone(),
             detail,
         };
-        // Manual line walk with byte offsets: `(line, terminated)`.
-        // A final line without its newline is an incomplete append.
-        let take_line = |pos: &mut usize| -> Option<(&str, bool)> {
-            if *pos >= text.len() {
-                return None;
-            }
-            match text[*pos..].find('\n') {
-                Some(i) => {
-                    let line = &text[*pos..*pos + i];
-                    *pos += i + 1;
-                    Some((line, true))
-                }
-                None => {
-                    let line = &text[*pos..];
-                    *pos = text.len();
-                    Some((line, false))
-                }
-            }
+        let io_err = |source| CheckpointError::Io {
+            path: self.path.clone(),
+            source,
         };
-        let mut pos = 0usize;
-        match take_line(&mut pos) {
-            Some((l, true)) if l.trim() == HEADER => {}
+        let mut reader = LineReader::new(BufReader::new(file));
+        match reader.next_line().map_err(io_err)? {
+            Some((_, l, true)) if l.trim() == HEADER => {}
             _ => return Err(corrupt(format!("missing `{HEADER}` header"))),
         }
-        let config = match take_line(&mut pos) {
-            Some((l, true)) => l.trim().to_string(),
+        let config = match reader.next_line().map_err(io_err)? {
+            Some((_, l, true)) => l,
             _ => String::new(),
         };
-        let parts: Vec<&str> = config.split_ascii_whitespace().collect();
-        let (instructions_each, warmup_each) = match parts.as_slice() {
-            ["config", "instructions", i, "warmup", w] => (
-                i.parse()
-                    .map_err(|_| corrupt(format!("bad config line `{config}`")))?,
-                w.parse()
-                    .map_err(|_| corrupt(format!("bad config line `{config}`")))?,
-            ),
-            _ => return Err(corrupt(format!("bad config line `{config}`"))),
-        };
-
-        // Is the remainder after a parse failure a torn tail (forgive)
-        // or mid-file corruption (hard error)? Appends are sequential,
-        // so a torn write leaves a *prefix* of one record: no fully
-        // terminated `end` line and no further record-start line can
-        // follow the failure point. If one does, the damage is not a
-        // simple truncation and we refuse to guess.
-        let tail_is_torn = |record_start: usize| -> bool {
-            let mut p = record_start;
-            let mut first = true;
-            while let Some((line, terminated)) = take_line(&mut p) {
-                let t = line.trim();
-                if !first && terminated && (t == "end" || t.starts_with("job ")) {
-                    return false;
-                }
-                first = false;
+        let config = CheckpointConfig::parse(&config)
+            .ok_or_else(|| corrupt(format!("bad config line `{}`", config.trim())))?;
+        let jobs = &mut self.jobs;
+        let replayed = record_log::replay(&mut reader, is_record_start, |reader, _, head| {
+            if !head.starts_with("job ") {
+                return Err(Reject::malformed(format!(
+                    "unparseable record head `{head}`"
+                )));
             }
-            true
-        };
-
-        let mut jobs: Vec<(String, MeasuredWorkload)> = Vec::new();
-        let mut good = pos;
-        let mut torn: Option<(usize, String)> = None;
-        'records: loop {
-            let record_start = pos;
-            let (raw, terminated) = match take_line(&mut pos) {
-                None => break,
-                Some(x) => x,
-            };
-            let trimmed = raw.trim();
-            if trimmed.is_empty() && terminated {
-                good = pos;
-                continue;
-            }
-            let fail = |detail: String| -> Result<Option<(usize, String)>, CheckpointError> {
-                if tail_is_torn(record_start) {
-                    Ok(Some((record_start, detail)))
-                } else {
-                    Err(corrupt(detail))
-                }
-            };
-            let head: Vec<&str> = trimmed.split_ascii_whitespace().collect();
-            let parsed = match head.as_slice() {
-                ["job", label, "instructions", i, "cycles", c] if terminated => {
-                    match (i.parse::<u64>(), c.parse::<u64>()) {
-                        (Ok(i), Ok(c)) => Some(((*label).to_string(), i, c)),
-                        _ => None,
-                    }
-                }
-                _ => None,
-            };
-            let Some((label, instructions, cycles)) = parsed else {
-                torn = fail(format!("unparseable record head `{trimmed}`"))?;
-                break;
-            };
-            let mut body = String::new();
-            let mut closed = false;
-            while let Some((l, terminated)) = take_line(&mut pos) {
-                if l.trim() == "end" && terminated {
-                    closed = true;
-                    break;
-                }
-                if !terminated {
-                    break;
-                }
-                body.push_str(l);
-                body.push('\n');
-            }
-            if !closed {
-                torn = fail(format!("job '{label}' has no `end` line"))?;
-                break 'records;
-            }
+            let section = Section::read(reader, head, is_record_start)?;
+            let label = section.prefix["job ".len()..].trim();
             // The section is fully terminated: anything wrong inside it
             // is real corruption, not a torn append.
-            let (histogram, counter_pairs) = codec::from_text_with_counters(&body)
-                .map_err(|e| corrupt(format!("job '{label}': {e}")))?;
-            let counters = vax_mem::HwCounters::from_pairs(
-                counter_pairs.iter().map(|(n, v)| (n.as_str(), *v)),
-            );
             let Some(kind) = WorkloadKind::ALL.iter().find(|k| k.name() == label) else {
-                return Err(corrupt(format!("job '{label}' is not a known workload")));
+                return Err(Reject::Corrupt(format!(
+                    "job '{label}' is not a known workload"
+                )));
             };
-            jobs.push((
-                label,
-                MeasuredWorkload {
-                    name: kind.name(),
-                    histogram,
-                    counters,
-                    instructions,
-                    cycles,
-                },
-            ));
-            good = pos;
-        }
-        let mut warnings = Vec::new();
-        let torn_at = torn.map(|(at, detail)| {
-            warnings.push(format!(
-                "dropped torn trailing record ({} byte(s) after the last complete \
-                 record): {detail}; the job will be re-run",
-                text.len() - at
-            ));
-            good
-        });
-        Ok((
-            Checkpoint {
-                path: path.to_path_buf(),
-                instructions_each,
-                warmup_each,
-                jobs,
-                warnings,
-            },
-            torn_at,
-        ))
+            let m = section
+                .decode(kind.name())
+                .map_err(|e| Reject::Corrupt(format!("job '{label}': {e}")))?;
+            jobs.push((label.to_string(), m));
+            Ok(())
+        })
+        .map_err(|e| match e {
+            Reject::Io(source) => io_err(source),
+            Reject::Corrupt(detail) | Reject::Malformed { detail, .. } => corrupt(detail),
+        })?;
+        Ok((config, replayed))
     }
 
     /// Warnings produced while opening (e.g. a torn trailing record
@@ -352,23 +314,13 @@ impl Checkpoint {
         label: &str,
         result: &MeasuredWorkload,
     ) -> Result<(), CheckpointError> {
-        let mut section = format!(
-            "job {label} instructions {} cycles {}\n",
-            result.instructions, result.cycles
-        );
-        let pairs = result.counters.to_pairs();
-        section.push_str(&codec::to_text_with_counters(&result.histogram, &pairs));
-        section.push_str("end\n");
-        let io_err = |source| CheckpointError::Io {
-            path: self.path.clone(),
-            source,
-        };
-        let mut file = OpenOptions::new()
-            .append(true)
-            .open(&self.path)
-            .map_err(io_err)?;
-        file.write_all(section.as_bytes()).map_err(io_err)?;
-        file.flush().map_err(io_err)?;
+        let section = record_log::render_section(&format!("job {label}"), result);
+        self.log
+            .append(&section)
+            .map_err(|source| CheckpointError::Io {
+                path: self.path.clone(),
+                source,
+            })?;
         self.jobs.push((label.to_string(), result.clone()));
         Ok(())
     }

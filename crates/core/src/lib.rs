@@ -24,10 +24,11 @@
 
 pub mod checkpoint;
 mod experiment;
+pub mod record_log;
 mod study;
 pub mod sweep;
 
-pub use checkpoint::{Checkpoint, CheckpointError};
+pub use checkpoint::{Checkpoint, CheckpointConfig, CheckpointError};
 pub use experiment::{measure, Experiment, MeasuredWorkload};
 pub use study::{
     default_workers, CampaignMetrics, CampaignOutcome, CompositeStudy, JobFailure, RetryPolicy,

@@ -136,6 +136,12 @@ pub fn from_text(text: &str) -> Result<Histogram, CodecError> {
         let issue: u64 = iss.parse().map_err(|_| CodecError::BadLine { line })?;
         let stall: u64 = st.parse().map_err(|_| CodecError::BadLine { line })?;
         let addr = MicroAddr::new(addr);
+        // A repeated bucket adds up; a sum past u64 is not a count.
+        if hist.issue(addr).checked_add(issue).is_none()
+            || hist.stall(addr).checked_add(stall).is_none()
+        {
+            return Err(CodecError::BadLine { line });
+        }
         hist.add_issue(addr, issue);
         hist.add_stall(addr, stall);
     }
@@ -178,6 +184,10 @@ mod tests {
         assert_eq!(
             from_text("upc-histogram v1\n10 1"),
             Err(CodecError::BadLine { line: 2 })
+        );
+        assert_eq!(
+            from_text("upc-histogram v1\n10 18446744073709551615 0\n10 1 0"),
+            Err(CodecError::BadLine { line: 3 })
         );
     }
 

@@ -1,10 +1,10 @@
 //! The persistent job-queue journal, `vax-queue-journal v2`.
 //!
-//! Version 2 splits the queue across **two segments** so the journal
-//! stays sublinear in its own history:
+//! The journal splits the queue across **two segments** so it stays
+//! sublinear in its own history:
 //!
-//! - the **tail** (`<path>`) is the append-only live segment, one
-//!   flushed record per lifecycle transition, exactly as in v1:
+//! - the **tail** (`<path>`) is the append-only live segment, a
+//!   [`record_log`] with one record per lifecycle transition:
 //!
 //!   ```text
 //!   vax-queue-journal v2 generation <G> next <N>
@@ -33,44 +33,42 @@
 //!   ...
 //!   ```
 //!
+//! Each tail record is written before the in-memory queue advances, so
+//! it survives a `kill -9` at any byte offset. Records are not fsynced,
+//! so an OS crash or power loss can lose the most recent transitions.
+//!
 //! [`Journal::compact`] migrates every settled job from the tail into
 //! a fresh snapshot and rewrites the tail with only the unsettled
 //! records. Compaction is crash-safe by write-new-then-rename: both
-//! replacement files are fully written and synced to temporaries,
-//! then the snapshot is renamed into place *before* the tail. A
-//! `kill -9` at any byte offset therefore leaves one of three states —
-//! old pair, new snapshot + old tail, or new pair — and
-//! [`Journal::open`] replays each to the identical queue: a tail whose
-//! generation lags the snapshot is the pre-compaction tail, so its
-//! records for jobs the snapshot already settled are skipped as the
-//! expected overlap rather than corruption.
+//! replacement files are fully written and fsynced to temporaries,
+//! then the snapshot is renamed into place *before* the tail, and the
+//! directory is fsynced after each rename. A `kill -9` at any byte
+//! offset therefore leaves one of three states — old pair, new
+//! snapshot + old tail, or new pair — and [`Journal::open`] replays
+//! each to the identical queue: a tail whose generation lags the
+//! snapshot is the pre-compaction tail, so its records for jobs the
+//! snapshot already settled are skipped as the expected overlap rather
+//! than corruption.
 //!
 //! Replay is **O(unsettled)** in memory: the tail is consumed through
-//! a buffered line reader one record at a time (with the v1 torn-tail
-//! policy — a partial trailing append is dropped and truncated, damage
-//! anywhere else is a hard [`JournalError::Corrupt`]), settled jobs
-//! collapse to fixed-size offset-table entries, and only unsettled
-//! jobs keep their parsed spec in memory. Result lines for `results`/
-//! `drain` are re-derived by seeking to the recorded offsets, so a
-//! fully settled million-job queue streams without ever materializing
-//! the settled set.
-//!
-//! A `vax-queue-journal v1` file (no snapshot, no generation) is
-//! recognized and **upgraded on open**: it replays under v1 rules and
-//! is immediately compacted into the v2 pair. Result lines are
-//! byte-identical across the upgrade because the record bodies are
-//! preserved verbatim and the digest is computed over the same bytes.
+//! a buffered line reader one record at a time (with the record log's
+//! torn-tail policy — a partial trailing append is dropped and
+//! truncated, damage anywhere else is a hard [`JournalError::Corrupt`]),
+//! settled jobs collapse to fixed-size offset-table entries, and only
+//! unsettled jobs keep their parsed spec in memory. Result lines for
+//! `results`/`drain` are re-derived by seeking to the recorded offsets,
+//! so a fully settled million-job queue streams without ever
+//! materializing the settled set.
 
 use crate::spec::JobSpec;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::fs::File;
+use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use upc_monitor::codec;
+use vax780_core::record_log::{self, Appender, LineReader, Reject, Section};
 use vax780_core::MeasuredWorkload;
 
-const HEADER_V1: &str = "vax-queue-journal v1";
 const HEADER_V2: &str = "vax-queue-journal v2";
 const SNAP_HEADER: &str = "vax-queue-snapshot v2";
 
@@ -244,85 +242,24 @@ pub fn valid_client_name(name: &str) -> bool {
             .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'.' | b'_' | b'-' | b'@'))
 }
 
-/// The deterministic JSON result line for one settled job. Field
-/// order and formatting are pinned: they are the bytes the kill -9
-/// idempotence proof diffs.
-fn render_done(
-    id: JobId,
-    spec_render: &str,
-    workload: &str,
-    instructions: u64,
-    cycles: u64,
-    machine_checks: u64,
-    digest: u64,
-) -> String {
-    let cpi = if instructions > 0 {
-        cycles as f64 / instructions as f64
+/// The `enqueue` record for a job (`client` empty = anonymous).
+fn enqueue_record(id: JobId, client: &str, spec: &JobSpec) -> String {
+    if client.is_empty() {
+        format!("enqueue {id} {}\n", spec.render())
     } else {
-        0.0
-    };
-    format!(
-        "{{\"job\":{id},\"spec\":\"{}\",\"workload\":\"{workload}\",\"instructions\":{instructions},\
-         \"cycles\":{cycles},\"cpi\":{cpi:.6},\"machine_checks\":{machine_checks},\
-         \"digest\":\"{digest:016x}\"}}",
-        json_escape(spec_render),
-    )
-}
-
-fn render_failed(id: JobId, spec_render: &str, attempts: u32, message: &str) -> String {
-    format!(
-        "{{\"job\":{id},\"spec\":\"{}\",\"failed\":true,\"attempts\":{attempts},\
-         \"message\":\"{}\"}}",
-        json_escape(spec_render),
-        json_escape(message),
-    )
-}
-
-/// Buffered line reader that tracks byte offsets and whether each line
-/// was newline-terminated — the streaming replacement for the v1
-/// whole-file `read_to_string` walk. Invalid UTF-8 is surfaced as a
-/// lossy line so the caller's torn-vs-corrupt logic decides its fate.
-struct LineReader<R> {
-    inner: R,
-    pos: u64,
-    buf: Vec<u8>,
-}
-
-impl<R: BufRead> LineReader<R> {
-    fn new(inner: R) -> LineReader<R> {
-        LineReader {
-            inner,
-            pos: 0,
-            buf: Vec::new(),
-        }
+        format!("enqueue {id} client={client} {}\n", spec.render())
     }
+}
 
-    /// `(start_offset, line_without_newline, terminated)`, or `None`
-    /// at EOF.
-    fn next_line(&mut self) -> std::io::Result<Option<(u64, String, bool)>> {
-        self.buf.clear();
-        let start = self.pos;
-        let n = self.inner.read_until(b'\n', &mut self.buf)?;
-        if n == 0 {
-            return Ok(None);
-        }
-        self.pos += n as u64;
-        let terminated = self.buf.last() == Some(&b'\n');
-        if terminated {
-            self.buf.pop();
-        }
-        Ok(Some((
-            start,
-            String::from_utf8_lossy(&self.buf).into_owned(),
-            terminated,
-        )))
-    }
+/// `path` with `suffix` appended to its file name.
+fn with_suffix(path: &Path, suffix: &str) -> PathBuf {
+    let mut os = path.as_os_str().to_os_string();
+    os.push(suffix);
+    PathBuf::from(os)
 }
 
 fn snap_path_for(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(".snap");
-    PathBuf::from(os)
+    with_suffix(path, ".snap")
 }
 
 fn is_record_start(t: &str) -> bool {
@@ -333,28 +270,6 @@ fn is_record_start(t: &str) -> bool {
         || t.starts_with("fail ")
 }
 
-/// Read `len` bytes at `at` from an open file.
-fn read_span(file: &mut File, at: u64, len: u64) -> std::io::Result<Vec<u8>> {
-    file.seek(SeekFrom::Start(at))?;
-    let mut buf = vec![0u8; len as usize];
-    file.read_exact(&mut buf)?;
-    Ok(buf)
-}
-
-/// What one settled record streams back as, before JSON rendering.
-enum StreamedOutcome {
-    Done {
-        instructions: u64,
-        cycles: u64,
-        machine_checks: u64,
-        digest: u64,
-    },
-    Failed {
-        attempts: u32,
-        message: String,
-    },
-}
-
 /// A loaded (or freshly created) queue journal.
 #[derive(Debug)]
 pub struct Journal {
@@ -362,7 +277,7 @@ pub struct Journal {
     snap_path: PathBuf,
     generation: u64,
     next_id: JobId,
-    tail_len: u64,
+    tail: Appender,
     pending: BTreeMap<JobId, PendingJob>,
     settled: BTreeMap<JobId, SettledRef>,
     done: usize,
@@ -373,10 +288,10 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Open `path`, creating the v2 pair if missing, replaying it if
-    /// present, or upgrading a v1 journal in place. A torn trailing
-    /// tail append is dropped with a warning and the tail truncated
-    /// back to the last good byte.
+    /// Open `path`, creating the v2 pair if missing (or the tail if
+    /// empty) and replaying it if present. A torn trailing tail append
+    /// is dropped with a warning and the tail truncated back to the
+    /// last good byte.
     ///
     /// One writer at a time: the journal has no cross-process lock, so
     /// a server and an offline `enqueue` must not extend the same file
@@ -386,12 +301,16 @@ impl Journal {
     ///
     /// [`JournalError`] on I/O failure or mid-file corruption.
     pub fn open(path: &Path) -> Result<Journal, JournalError> {
+        let io_err = |source| JournalError::Io {
+            path: path.to_path_buf(),
+            source,
+        };
         let mut journal = Journal {
             path: path.to_path_buf(),
             snap_path: snap_path_for(path),
             generation: 0,
             next_id: 1,
-            tail_len: 0,
+            tail: Appender::open(path).map_err(io_err)?,
             pending: BTreeMap::new(),
             settled: BTreeMap::new(),
             done: 0,
@@ -403,33 +322,16 @@ impl Journal {
         let snap_generation = match File::open(&journal.snap_path) {
             Ok(file) => Some(journal.load_snapshot(file)?),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-            Err(source) => {
-                return Err(JournalError::Io {
-                    path: journal.snap_path.clone(),
-                    source,
-                })
-            }
+            Err(source) => return Err(journal.snap_io(source)),
         };
-        let upgrade = match File::open(path) {
-            Ok(file) => journal.replay_tail(file, snap_generation)?,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                journal.generation = snap_generation.unwrap_or(0);
-                journal.next_id = journal.max_settled_id() + 1;
-                journal.write_fresh_tail()?;
-                false
-            }
-            Err(source) => {
-                return Err(JournalError::Io {
-                    path: path.to_path_buf(),
-                    source,
-                })
-            }
-        };
-        if upgrade {
-            journal.compact()?;
-            journal
-                .warnings
-                .push("upgraded v1 journal to the v2 segment scheme".to_string());
+        if journal.tail.end() == 0 {
+            journal.generation = snap_generation.unwrap_or(0);
+            journal.next_id = journal.max_settled_id() + 1;
+            let header = journal.tail_header();
+            journal.append(&header)?;
+        } else {
+            let file = File::open(path).map_err(io_err)?;
+            journal.replay_tail(file, snap_generation)?;
         }
         Ok(journal)
     }
@@ -437,6 +339,13 @@ impl Journal {
     fn io_err(&self, source: std::io::Error) -> JournalError {
         JournalError::Io {
             path: self.path.clone(),
+            source,
+        }
+    }
+
+    fn snap_io(&self, source: std::io::Error) -> JournalError {
+        JournalError::Io {
+            path: self.snap_path.clone(),
             source,
         }
     }
@@ -464,20 +373,9 @@ impl Journal {
     /// atomically (rename), so any damage is a hard error, never a
     /// torn tail.
     fn load_snapshot(&mut self, file: File) -> Result<u64, JournalError> {
-        let file_len = file
-            .metadata()
-            .map_err(|e| JournalError::Io {
-                path: self.snap_path.clone(),
-                source: e,
-            })?
-            .len();
+        let file_len = file.metadata().map_err(|e| self.snap_io(e))?.len();
         let mut reader = LineReader::new(BufReader::new(file));
-        let mut next = || {
-            reader.next_line().map_err(|e| JournalError::Io {
-                path: self.snap_path.clone(),
-                source: e,
-            })
-        };
+        let mut next = || reader.next_line().map_err(|e| self.snap_io(e));
         let (generation, jobs): (u64, usize) = match next()? {
             Some((_, line, true)) => {
                 let words: Vec<&str> = line.split_ascii_whitespace().collect();
@@ -502,7 +400,7 @@ impl Journal {
                 return Err(self.snap_corrupt(format!("missing `index` section (got {other:?})")))
             }
         }
-        let mut entries: Vec<(JobId, u64, u64, JobState)> = Vec::with_capacity(jobs);
+        let mut entries: Vec<(JobId, u64, u64, JobState)> = Vec::new();
         loop {
             match next()? {
                 Some((_, line, true)) if line.trim() == "end" => break,
@@ -515,12 +413,11 @@ impl Journal {
                                 "failed" => Some(JobState::Failed),
                                 _ => None,
                             };
-                            id.parse().ok().zip(rel.parse().ok()).zip(
-                                len.parse()
-                                    .ok()
-                                    .zip(kind)
-                                    .map(|(l, k): (u64, JobState)| (l, k)),
-                            )
+                            id.parse()
+                                .ok()
+                                .filter(|&id: &JobId| id < JobId::MAX)
+                                .zip(rel.parse().ok())
+                                .zip(len.parse().ok().zip(kind))
                         }
                         _ => None,
                     };
@@ -545,14 +442,14 @@ impl Journal {
                 entries.len()
             )));
         }
-        let base = reader.pos;
+        let base = reader.pos();
         for (id, rel, len, kind) in entries {
-            let at = base + rel;
-            if at + len > file_len {
+            let in_file = |at: &u64| at.checked_add(len).is_some_and(|end| end <= file_len);
+            let Some(at) = base.checked_add(rel).filter(in_file) else {
                 return Err(self.snap_corrupt(format!(
                     "index entry for job {id} points past the end of the file"
                 )));
-            }
+            };
             match kind {
                 JobState::Done => self.done += 1,
                 JobState::Failed => self.failed += 1,
@@ -573,46 +470,40 @@ impl Journal {
         Ok(generation)
     }
 
-    /// Replay the tail through a buffered line reader — O(one record)
-    /// memory — applying the v1 torn-vs-corrupt policy and, when the
-    /// tail's generation lags the snapshot's (the mid-compaction crash
-    /// window), skipping records for jobs the snapshot already
-    /// settled. Returns whether the file was a v1 journal needing
-    /// upgrade.
+    /// Replay the tail through the record log — O(one record) memory —
+    /// and, when the tail's generation lags the snapshot's (the
+    /// mid-compaction crash window), skip records for jobs the snapshot
+    /// already settled.
     fn replay_tail(
         &mut self,
         file: File,
         snap_generation: Option<u64>,
-    ) -> Result<bool, JournalError> {
+    ) -> Result<(), JournalError> {
         let mut reader = LineReader::new(BufReader::new(file));
-        let io = |this: &Journal, e| this.io_err(e);
 
-        // Header: v1 (upgrade), or v2 with generation + next-id.
-        let (version, mut header_next) = match reader.next_line().map_err(|e| io(self, e))? {
-            Some((_, line, true)) if line.trim() == HEADER_V1 => (1u32, 1),
+        // Header: v2 with generation + next-id.
+        let header = reader.next_line().map_err(|e| self.io_err(e))?;
+        let header_next = match header {
             Some((_, line, true)) => {
                 let words: Vec<&str> = line.split_ascii_whitespace().collect();
-                match words.as_slice() {
+                let parsed: Option<(u64, JobId)> = match words.as_slice() {
                     ["vax-queue-journal", "v2", "generation", g, "next", n] => {
-                        let parsed: Option<(u64, JobId)> = g.parse().ok().zip(n.parse().ok());
-                        let Some((generation, next)) = parsed else {
-                            return Err(self.corrupt(format!("bad header `{line}`")));
-                        };
-                        self.generation = generation;
-                        (2, next)
+                        g.parse().ok().zip(n.parse().ok())
                     }
                     _ => {
                         return Err(
                             self.corrupt(format!("missing `{HEADER_V2}` header (got `{line}`)"))
                         )
                     }
-                }
+                };
+                let Some((generation, next)) = parsed else {
+                    return Err(self.corrupt(format!("bad header `{line}`")));
+                };
+                self.generation = generation;
+                next
             }
             _ => return Err(self.corrupt(format!("missing `{HEADER_V2}` header"))),
         };
-        if header_next == 0 {
-            header_next = 1;
-        }
 
         // Reconcile the tail against the snapshot. A lagging tail is
         // the expected state after a kill between the two compaction
@@ -642,74 +533,41 @@ impl Journal {
             }
         };
 
-        // Torn-vs-corrupt, as in v1: appends are sequential, so a torn
-        // write leaves a prefix of ONE record. If any fully terminated
-        // record-start line exists after the failure point, the damage
-        // is not a truncation and we refuse to guess.
-        let mut good = reader.pos;
-        let mut torn: Option<(u64, String)> = None;
-        'records: loop {
-            let (record_start, raw, terminated) =
-                match reader.next_line().map_err(|e| io(self, e))? {
-                    None => break,
-                    Some(x) => x,
-                };
-            let trimmed = raw.trim().to_string();
-            if trimmed.is_empty() && terminated {
-                good = reader.pos;
-                continue;
-            }
-            // Resolve a record-level failure: torn if nothing
-            // record-shaped follows (`saw_more` covers lines already
-            // consumed by this record), corrupt otherwise.
-            macro_rules! fail {
-                ($saw_more:expr, $detail:expr) => {{
-                    let detail: String = $detail;
-                    let mut saw = $saw_more;
-                    while let Some((_, line, term)) = reader.next_line().map_err(|e| io(self, e))? {
-                        if term && is_record_start(line.trim()) {
-                            saw = true;
-                        }
-                    }
-                    if saw {
-                        return Err(self.corrupt(detail));
-                    }
-                    torn = Some((record_start, detail));
-                    break 'records;
-                }};
-            }
-            if !terminated {
-                fail!(false, format!("incomplete trailing line `{trimmed}`"));
-            }
-            let mut words = trimmed.splitn(3, ' ');
-            let keyword = words.next().unwrap_or("").to_string();
-            let id: Option<JobId> = words.next().and_then(|w| w.parse().ok());
-            let rest = words.next().unwrap_or("").to_string();
-            match (keyword.as_str(), id) {
+        let replayed = record_log::replay(&mut reader, is_record_start, |reader, start, line| {
+            let mut words = line.splitn(3, ' ');
+            let keyword = words.next().unwrap_or("");
+            let id: Option<JobId> = words
+                .next()
+                .and_then(|w| w.parse().ok())
+                .filter(|&id| id < JobId::MAX);
+            let rest = words.next().unwrap_or("");
+            // A stale tail's record for a job the snapshot already
+            // holds in settled form.
+            let stale = |id| stale_tail && self.settled.contains_key(&id);
+            match (keyword, id) {
                 ("enqueue", Some(id)) => {
                     let (client, spec_line) = match rest.split_once(' ') {
                         Some((first, tail_rest)) if first.starts_with("client=") => {
                             let name = &first["client=".len()..];
                             if !valid_client_name(name) {
-                                fail!(false, format!("enqueue {id}: bad client name `{name}`"));
+                                return Err(Reject::malformed(format!(
+                                    "enqueue {id}: bad client name `{name}`"
+                                )));
                             }
                             (name.to_string(), tail_rest)
                         }
-                        _ => (String::new(), rest.as_str()),
+                        _ => (String::new(), rest),
                     };
-                    let spec = match JobSpec::parse(spec_line) {
-                        Ok(s) => s,
-                        Err(e) => fail!(false, format!("enqueue {id}: {e}")),
-                    };
-                    if stale_tail && self.settled.contains_key(&id) {
-                        // Pre-compaction tail: the snapshot already
-                        // holds this job in settled form.
-                        good = reader.pos;
-                        self.next_id = self.next_id.max(id + 1);
-                        continue;
+                    let spec = JobSpec::parse(spec_line)
+                        .map_err(|e| Reject::malformed(format!("enqueue {id}: {e}")))?;
+                    let enqueue_len = u32::try_from(reader.pos() - start)
+                        .map_err(|_| Reject::Corrupt(format!("enqueue {id}: record too long")))?;
+                    self.next_id = self.next_id.max(id + 1);
+                    if stale(id) {
+                        return Ok(());
                     }
                     if self.pending.contains_key(&id) || self.settled.contains_key(&id) {
-                        return Err(self.corrupt(format!("duplicate enqueue for job {id}")));
+                        return Err(Reject::Corrupt(format!("duplicate enqueue for job {id}")));
                     }
                     *self.clients.entry(client.clone()).or_insert(0) += 1;
                     self.pending.insert(
@@ -718,11 +576,10 @@ impl Journal {
                             spec,
                             client,
                             starts: 0,
-                            enqueue_at: record_start,
-                            enqueue_len: (reader.pos - record_start) as u32,
+                            enqueue_at: start,
+                            enqueue_len,
                         },
                     );
-                    self.next_id = self.next_id.max(id + 1);
                 }
                 ("start", Some(id)) => {
                     let attempt: Option<u32> =
@@ -731,17 +588,16 @@ impl Journal {
                             _ => None,
                         };
                     let Some(attempt) = attempt else {
-                        fail!(false, format!("bad start record `{trimmed}`"));
+                        return Err(Reject::malformed(format!("bad start record `{line}`")));
                     };
-                    if stale_tail && self.settled.contains_key(&id) {
-                        good = reader.pos;
-                        continue;
+                    if stale(id) {
+                        return Ok(());
                     }
                     if self.settled.contains_key(&id) {
-                        return Err(self.corrupt(format!("start for settled job {id}")));
+                        return Err(Reject::Corrupt(format!("start for settled job {id}")));
                     }
                     let Some(job) = self.pending.get_mut(&id) else {
-                        return Err(self.corrupt(format!("start for unknown job {id}")));
+                        return Err(Reject::Corrupt(format!("start for unknown job {id}")));
                     };
                     job.starts = job.starts.max(attempt);
                 }
@@ -751,86 +607,43 @@ impl Journal {
                         .and_then(|r| r.split_once(" message "))
                         .and_then(|(k, _msg)| k.parse::<u32>().ok());
                     if parsed.is_none() {
-                        fail!(false, format!("bad fail record `{trimmed}`"));
+                        return Err(Reject::malformed(format!("bad fail record `{line}`")));
                     }
-                    if stale_tail && self.settled.contains_key(&id) {
-                        good = reader.pos;
-                        continue;
+                    if !stale(id) {
+                        self.settle_from_tail(id, start, reader.pos() - start, JobState::Failed)?;
                     }
-                    self.settle_from_tail(
-                        id,
-                        record_start,
-                        reader.pos - record_start,
-                        JobState::Failed,
-                    )?;
                 }
                 ("complete", Some(id)) => {
-                    let lens: Option<(u64, u64)> =
-                        match rest.split_ascii_whitespace().collect::<Vec<_>>().as_slice() {
-                            ["instructions", i, "cycles", c] => i.parse().ok().zip(c.parse().ok()),
-                            _ => None,
-                        };
-                    if lens.is_none() {
-                        fail!(false, format!("bad complete record `{trimmed}`"));
-                    }
-                    let mut body = String::new();
-                    let mut closed = false;
-                    let mut saw_more = false;
-                    while let Some((_, l, term)) = reader.next_line().map_err(|e| io(self, e))? {
-                        if l.trim() == "end" && term {
-                            closed = true;
-                            break;
-                        }
-                        if !term {
-                            break;
-                        }
-                        if is_record_start(l.trim()) {
-                            saw_more = true;
-                        }
-                        body.push_str(&l);
-                        body.push('\n');
-                    }
-                    if !closed {
-                        fail!(saw_more, format!("complete {id} has no `end` line"));
-                    }
                     // Fully terminated section: anything wrong inside
-                    // is real corruption, not a torn append. Parse to
+                    // is real corruption, not a torn append. Decode to
                     // validate, then discard — only offsets are kept.
-                    codec::from_text_with_counters(&body)
-                        .map_err(|e| self.corrupt(format!("complete {id}: {e}")))?;
-                    if stale_tail && self.settled.contains_key(&id) {
-                        good = reader.pos;
-                        continue;
+                    Section::read(reader, line, is_record_start)?
+                        .decode("")
+                        .map_err(|e| Reject::Corrupt(format!("complete {id}: {e}")))?;
+                    if !stale(id) {
+                        self.settle_from_tail(id, start, reader.pos() - start, JobState::Done)?;
                     }
-                    self.settle_from_tail(
-                        id,
-                        record_start,
-                        reader.pos - record_start,
-                        JobState::Done,
-                    )?;
                 }
-                _ => {
-                    fail!(false, format!("unparseable record `{trimmed}`"));
-                }
+                _ => return Err(Reject::malformed(format!("unparseable record `{line}`"))),
             }
-            good = reader.pos;
-        }
-        self.next_id = self.next_id.max(header_next).max(self.max_settled_id() + 1);
-        let end = reader.pos;
-        self.tail_len = good;
-        if let Some((at, detail)) = torn {
-            self.warnings.push(format!(
-                "dropped torn trailing record ({} byte(s) after the last complete \
-                 record): {detail}; the transition will be replayed",
-                end - at
-            ));
-            let file = OpenOptions::new()
-                .write(true)
-                .open(&self.path)
+            Ok(())
+        })
+        .map_err(|e| match e {
+            Reject::Io(source) => self.io_err(source),
+            Reject::Corrupt(detail) | Reject::Malformed { detail, .. } => self.corrupt(detail),
+        })?;
+        self.next_id = self
+            .next_id
+            .max(header_next.max(1))
+            .max(self.max_settled_id() + 1);
+        if let Some(torn) = replayed.torn {
+            self.warnings
+                .push(format!("{torn}; the transition will be replayed"));
+            self.tail
+                .truncate(replayed.good)
                 .map_err(|e| self.io_err(e))?;
-            file.set_len(good).map_err(|e| self.io_err(e))?;
         }
-        Ok(version == 1)
+        Ok(())
     }
 
     /// Move a pending job to the settled offset table during replay.
@@ -840,13 +653,26 @@ impl Journal {
         at: u64,
         len: u64,
         kind: JobState,
-    ) -> Result<(), JournalError> {
+    ) -> Result<(), Reject> {
         if self.settled.contains_key(&id) {
-            return Err(self.corrupt(format!("{} for settled job {id}", kind.name())));
+            return Err(Reject::Corrupt(format!(
+                "{} for settled job {id}",
+                kind.name()
+            )));
         }
         let Some(job) = self.pending.remove(&id) else {
-            return Err(self.corrupt(format!("{} for unknown job {id}", kind.name())));
+            return Err(Reject::Corrupt(format!(
+                "{} for unknown job {id}",
+                kind.name()
+            )));
         };
+        self.settle(id, job, at, len, kind);
+        Ok(())
+    }
+
+    /// Record a settled job's offsets and drop it from the unsettled
+    /// counts.
+    fn settle(&mut self, id: JobId, job: PendingJob, at: u64, len: u64, kind: JobState) {
         self.client_settled(&job.client);
         match kind {
             JobState::Done => self.done += 1,
@@ -865,7 +691,6 @@ impl Journal {
                 kind,
             },
         );
-        Ok(())
     }
 
     fn client_settled(&mut self, client: &str) {
@@ -884,15 +709,8 @@ impl Journal {
         )
     }
 
-    fn write_fresh_tail(&mut self) -> Result<(), JournalError> {
-        let header = self.tail_header();
-        std::fs::write(&self.path, &header).map_err(|e| self.io_err(e))?;
-        self.tail_len = header.len() as u64;
-        Ok(())
-    }
-
-    /// Warnings produced while opening (torn trailing record dropped,
-    /// v1 upgrade performed).
+    /// Warnings produced while opening (a torn trailing record
+    /// dropped).
     pub fn warnings(&self) -> &[String] {
         &self.warnings
     }
@@ -982,16 +800,9 @@ impl Journal {
         self.clients.get(client).copied().unwrap_or(0)
     }
 
-    fn append(&mut self, record: &str) -> Result<(), JournalError> {
-        let mut file = OpenOptions::new()
-            .append(true)
-            .open(&self.path)
-            .map_err(|e| self.io_err(e))?;
-        file.write_all(record.as_bytes())
-            .map_err(|e| self.io_err(e))?;
-        file.flush().map_err(|e| self.io_err(e))?;
-        self.tail_len += record.len() as u64;
-        Ok(())
+    /// Append one record to the tail; returns its offset.
+    fn append(&mut self, record: &str) -> Result<u64, JournalError> {
+        self.tail.append(record).map_err(|e| self.io_err(e))
     }
 
     /// Append an `enqueue` record and return the new job's id.
@@ -1019,14 +830,12 @@ impl Journal {
             return Err(self.corrupt(format!("bad client name `{client}`")));
         }
         let id = self.next_id;
-        let record = if client.is_empty() {
-            format!("enqueue {id} {}\n", spec.render())
-        } else {
-            format!("enqueue {id} client={client} {}\n", spec.render())
-        };
-        let enqueue_at = self.tail_len;
-        self.append(&record)?;
-        self.next_id = id + 1;
+        let next_id = id
+            .checked_add(1)
+            .ok_or_else(|| self.corrupt("job ids exhausted".to_string()))?;
+        let record = enqueue_record(id, client, spec);
+        let enqueue_at = self.append(&record)?;
+        self.next_id = next_id;
         *self.clients.entry(client.to_string()).or_insert(0) += 1;
         self.pending.insert(
             id,
@@ -1064,17 +873,8 @@ impl Journal {
         id: JobId,
         result: &MeasuredWorkload,
     ) -> Result<(), JournalError> {
-        let mut section = format!(
-            "complete {id} instructions {} cycles {}\n",
-            result.instructions, result.cycles
-        );
-        section.push_str(&codec::to_text_with_counters(
-            &result.histogram,
-            &result.counters.to_pairs(),
-        ));
-        section.push_str("end\n");
-        let at = self.tail_len;
-        self.append(&section)?;
+        let section = record_log::render_section(&format!("complete {id}"), result);
+        let at = self.append(&section)?;
         self.settle_append(id, at, section.len() as u64, JobState::Done);
         Ok(())
     }
@@ -1094,67 +894,33 @@ impl Journal {
             "fail {id} attempts {attempts} message {}\n",
             escape_message(message)
         );
-        let at = self.tail_len;
-        self.append(&record)?;
+        let at = self.append(&record)?;
         self.settle_append(id, at, record.len() as u64, JobState::Failed);
         Ok(())
     }
 
     fn settle_append(&mut self, id: JobId, at: u64, len: u64, kind: JobState) {
-        let Some(job) = self.pending.remove(&id) else {
-            return;
-        };
-        self.client_settled(&job.client);
-        match kind {
-            JobState::Done => self.done += 1,
-            JobState::Failed => self.failed += 1,
-            JobState::Pending => unreachable!(),
+        if let Some(job) = self.pending.remove(&id) {
+            self.settle(id, job, at, len, kind);
         }
-        self.settled_in_tail += 1;
-        self.settled.insert(
-            id,
-            SettledRef {
-                seg: Segment::Tail,
-                spec_at: job.enqueue_at,
-                spec_len: job.enqueue_len,
-                at,
-                len,
-                kind,
-            },
-        );
     }
 
     /// Migrate every settled job into a fresh snapshot segment and
     /// rewrite the tail with only the unsettled records, bumping the
     /// generation. Crash-safe: both replacement files are fully
     /// written and synced before the snapshot, then the tail, are
-    /// renamed into place — a kill at any byte offset replays to the
-    /// identical queue state.
+    /// renamed into place and the directory synced — a kill at any byte
+    /// offset replays to the identical queue state.
     ///
     /// # Errors
     ///
     /// [`JournalError`] on I/O failure or an unreadable settled record.
     pub fn compact(&mut self) -> Result<(), JournalError> {
         let new_generation = self.generation + 1;
-        let snap_tmp = {
-            let mut os = self.snap_path.as_os_str().to_os_string();
-            os.push(".tmp");
-            PathBuf::from(os)
-        };
-        let tail_tmp = {
-            let mut os = self.path.as_os_str().to_os_string();
-            os.push(".tmp");
-            PathBuf::from(os)
-        };
-        let records_tmp = {
-            let mut os = self.snap_path.as_os_str().to_os_string();
-            os.push(".records.tmp");
-            PathBuf::from(os)
-        };
-        let snap_io = |e| JournalError::Io {
-            path: self.snap_path.clone(),
-            source: e,
-        };
+        let snap_tmp = with_suffix(&self.snap_path, ".tmp");
+        let tail_tmp = with_suffix(&self.path, ".tmp");
+        let records_tmp = with_suffix(&self.snap_path, ".records.tmp");
+        let snap_io = |e| self.snap_io(e);
 
         // 1. Stream every settled record into the records scratch
         // file, collecting the offset index. Records already in the
@@ -1162,35 +928,16 @@ impl Journal {
         // snapshot's `job` form.
         let mut entries: Vec<(JobId, u64, u64, JobState)> = Vec::with_capacity(self.settled.len());
         let mut records = BufWriter::new(File::create(&records_tmp).map_err(snap_io)?);
-        let mut snap_read: Option<File> = None;
-        let mut tail_read: Option<File> = None;
+        let mut files = SegmentFiles::default();
         let mut rel = 0u64;
         for (&id, r) in &self.settled {
             let bytes = match r.seg {
-                Segment::Snapshot => {
-                    let file = match &mut snap_read {
-                        Some(f) => f,
-                        None => {
-                            snap_read = Some(File::open(&self.snap_path).map_err(snap_io)?);
-                            snap_read.as_mut().unwrap()
-                        }
-                    };
-                    read_span(file, r.at, r.len).map_err(snap_io)?
-                }
+                Segment::Snapshot => files.read(self, r.seg, r.at, r.len)?,
                 Segment::Tail => {
-                    let file = match &mut tail_read {
-                        Some(f) => f,
-                        None => {
-                            tail_read = Some(File::open(&self.path).map_err(|e| self.io_err(e))?);
-                            tail_read.as_mut().unwrap()
-                        }
-                    };
-                    let enqueue = read_span(file, r.spec_at, u64::from(r.spec_len))
-                        .map_err(|e| self.io_err(e))?;
+                    let enqueue = files.read(self, r.seg, r.spec_at, u64::from(r.spec_len))?;
                     let spec_line = self.spec_from_enqueue(&enqueue, id)?;
-                    let settle = read_span(file, r.at, r.len).map_err(|e| self.io_err(e))?;
                     let mut record = format!("job {id} {spec_line}\n").into_bytes();
-                    record.extend_from_slice(&settle);
+                    record.extend(files.read(self, r.seg, r.at, r.len)?);
                     record
                 }
             };
@@ -1229,47 +976,38 @@ impl Journal {
         // 3. The replacement tail: header with the preserved next-id,
         // then the unsettled records (enqueue + highest start seen).
         let mut pending_offsets: BTreeMap<JobId, (u64, u32)> = BTreeMap::new();
-        let mut new_tail_len;
-        {
-            let mut tail = BufWriter::new(File::create(&tail_tmp).map_err(|e| self.io_err(e))?);
-            let header = format!(
-                "{HEADER_V2} generation {new_generation} next {}\n",
-                self.next_id
-            );
-            tail.write_all(header.as_bytes())
-                .map_err(|e| self.io_err(e))?;
-            new_tail_len = header.len() as u64;
-            for (&id, job) in &self.pending {
-                let record = if job.client.is_empty() {
-                    format!("enqueue {id} {}\n", job.spec.render())
-                } else {
-                    format!("enqueue {id} client={} {}\n", job.client, job.spec.render())
-                };
-                tail.write_all(record.as_bytes())
-                    .map_err(|e| self.io_err(e))?;
-                pending_offsets.insert(id, (new_tail_len, record.len() as u32));
-                new_tail_len += record.len() as u64;
-                if job.starts > 0 {
-                    let start = format!("start {id} attempt {}\n", job.starts);
-                    tail.write_all(start.as_bytes())
-                        .map_err(|e| self.io_err(e))?;
-                    new_tail_len += start.len() as u64;
-                }
+        let mut text = format!(
+            "{HEADER_V2} generation {new_generation} next {}\n",
+            self.next_id
+        );
+        for (&id, job) in &self.pending {
+            let record = enqueue_record(id, &job.client, &job.spec);
+            pending_offsets.insert(id, (text.len() as u64, record.len() as u32));
+            text.push_str(&record);
+            if job.starts > 0 {
+                text.push_str(&format!("start {id} attempt {}\n", job.starts));
             }
-            let tail = tail.into_inner().map_err(|e| self.io_err(e.into_error()))?;
-            tail.sync_all().map_err(|e| self.io_err(e))?;
         }
+        let mut tail = Appender::open(&tail_tmp).map_err(|e| self.io_err(e))?;
+        tail.truncate(0)
+            .and_then(|()| tail.append(&text))
+            .and_then(|_| tail.sync())
+            .map_err(|e| self.io_err(e))?;
 
-        // 4. Publish: snapshot first, then tail. A kill between the
-        // renames leaves the new snapshot with the old tail, which
-        // replay reconciles by generation.
+        // 4. Publish: snapshot first, then tail, fsyncing the directory
+        // after each rename. A kill between the renames leaves the new
+        // snapshot with the old tail, which replay reconciles by
+        // generation. The new tail's append handle replaces the old
+        // one, whose file the rename unlinked.
         std::fs::rename(&snap_tmp, &self.snap_path).map_err(snap_io)?;
+        record_log::sync_dir(&self.snap_path).map_err(snap_io)?;
         std::fs::rename(&tail_tmp, &self.path).map_err(|e| self.io_err(e))?;
+        self.tail = tail;
+        record_log::sync_dir(&self.path).map_err(|e| self.io_err(e))?;
         let _ = std::fs::remove_file(&records_tmp);
 
         // 5. Swing the in-memory offset table to the new files.
         self.generation = new_generation;
-        self.tail_len = new_tail_len;
         self.settled_in_tail = 0;
         for (id, rel, len, _) in entries {
             if let Some(r) = self.settled.get_mut(&id) {
@@ -1317,103 +1055,39 @@ impl Journal {
         let Some(r) = self.settled.get(&id) else {
             return Ok(None);
         };
-        Ok(Some(self.read_settled(id, *r)?.0))
+        self.with_settled(&mut SegmentFiles::default(), id, *r, |spec, _| {
+            Ok(spec.to_string())
+        })
+        .map(Some)
     }
 
-    /// Read a settled record back from disk: `(spec line, outcome)`.
-    fn read_settled(
-        &self,
-        id: JobId,
-        r: SettledRef,
-    ) -> Result<(String, StreamedOutcome), JournalError> {
-        let mut files = SegmentFiles::default();
-        self.read_settled_with(&mut files, id, r)
-    }
-
-    fn read_settled_with(
+    /// Read a settled record back from disk and hand `f` its spec line
+    /// and its raw settle record (the `complete` section or `fail`
+    /// line).
+    fn with_settled<T>(
         &self,
         files: &mut SegmentFiles,
         id: JobId,
         r: SettledRef,
-    ) -> Result<(String, StreamedOutcome), JournalError> {
+        f: impl FnOnce(&str, &str) -> Result<T, JournalError>,
+    ) -> Result<T, JournalError> {
+        let bytes = files.read(self, r.seg, r.at, r.len)?;
+        let text = String::from_utf8(bytes)
+            .map_err(|_| self.corrupt(format!("settle record for job {id} is not UTF-8")))?;
         match r.seg {
             Segment::Snapshot => {
-                let file = files.snapshot(&self.snap_path)?;
-                let bytes = read_span(file, r.at, r.len).map_err(|e| JournalError::Io {
-                    path: self.snap_path.clone(),
-                    source: e,
-                })?;
-                let text = String::from_utf8(bytes)
-                    .map_err(|_| self.snap_corrupt(format!("record for job {id} is not UTF-8")))?;
                 let (head, settle) = text
                     .split_once('\n')
                     .ok_or_else(|| self.snap_corrupt(format!("truncated record for job {id}")))?;
-                let spec = head
-                    .strip_prefix(&format!("job {id} "))
-                    .ok_or_else(|| {
-                        self.snap_corrupt(format!("bad record head for job {id}: `{head}`"))
-                    })?
-                    .to_string();
-                let outcome = self.parse_settle(id, settle)?;
-                Ok((spec, outcome))
+                let spec = head.strip_prefix(&format!("job {id} ")).ok_or_else(|| {
+                    self.snap_corrupt(format!("bad record head for job {id}: `{head}`"))
+                })?;
+                f(spec, settle)
             }
             Segment::Tail => {
-                let file = files.tail(&self.path)?;
-                let enqueue = read_span(file, r.spec_at, u64::from(r.spec_len))
-                    .map_err(|e| self.io_err(e))?;
-                let spec = self.spec_from_enqueue(&enqueue, id)?;
-                let bytes = read_span(file, r.at, r.len).map_err(|e| self.io_err(e))?;
-                let text = String::from_utf8(bytes).map_err(|_| {
-                    self.corrupt(format!("settle record for job {id} is not UTF-8"))
-                })?;
-                let outcome = self.parse_settle(id, &text)?;
-                Ok((spec, outcome))
+                let enqueue = files.read(self, r.seg, r.spec_at, u64::from(r.spec_len))?;
+                f(&self.spec_from_enqueue(&enqueue, id)?, &text)
             }
-        }
-    }
-
-    /// Parse a raw settle record (`complete` section or `fail` line)
-    /// into the streamed outcome. The digest is computed over the raw
-    /// body bytes — exactly the bytes `append_complete` wrote, so it
-    /// is bit-identical to the digest of the original measurement.
-    fn parse_settle(&self, id: JobId, text: &str) -> Result<StreamedOutcome, JournalError> {
-        let (head, rest) = text.split_once('\n').map_or((text, ""), |(h, r)| (h, r));
-        if let Some(complete) = head.strip_prefix(&format!("complete {id} ")) {
-            let lens: Option<(u64, u64)> = match complete
-                .split_ascii_whitespace()
-                .collect::<Vec<_>>()
-                .as_slice()
-            {
-                ["instructions", i, "cycles", c] => i.parse().ok().zip(c.parse().ok()),
-                _ => None,
-            };
-            let Some((instructions, cycles)) = lens else {
-                return Err(self.corrupt(format!("bad complete record for job {id}: `{head}`")));
-            };
-            let body = rest
-                .strip_suffix("end\n")
-                .ok_or_else(|| self.corrupt(format!("complete {id} has no `end` line")))?;
-            let machine_checks = body
-                .lines()
-                .find_map(|l| l.trim().strip_prefix("counter machine_checks "))
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0);
-            Ok(StreamedOutcome::Done {
-                instructions,
-                cycles,
-                machine_checks,
-                digest: fnv64(body),
-            })
-        } else if let Some(fail) = head.strip_prefix(&format!("fail {id} attempts ")) {
-            let parsed = fail
-                .split_once(" message ")
-                .and_then(|(k, msg)| k.parse::<u32>().ok().map(|k| (k, unescape_message(msg))));
-            let Some((attempts, message)) = parsed else {
-                return Err(self.corrupt(format!("bad fail record for job {id}: `{head}`")));
-            };
-            Ok(StreamedOutcome::Failed { attempts, message })
-        } else {
-            Err(self.corrupt(format!("unrecognized settle record for job {id}: `{head}`")))
         }
     }
 
@@ -1432,37 +1106,68 @@ impl Journal {
         let Some(r) = self.settled.get(&id) else {
             return Ok(None);
         };
-        let (spec_line, outcome) = self.read_settled(id, *r)?;
-        Ok(Some(self.render_result(id, &spec_line, outcome)?))
+        self.with_settled(&mut SegmentFiles::default(), id, *r, |spec, settle| {
+            self.render_result(id, spec, settle)
+        })
+        .map(Some)
     }
 
+    /// Render a result line from a spec line and a raw settle record.
+    /// Field order and formatting are pinned: they are the bytes the
+    /// kill -9 idempotence proof diffs. The digest is computed over the
+    /// raw body bytes — exactly the bytes `append_complete` wrote, so it
+    /// is bit-identical to the digest of the original measurement.
     fn render_result(
         &self,
         id: JobId,
         spec_line: &str,
-        outcome: StreamedOutcome,
+        settle: &str,
     ) -> Result<String, JournalError> {
         let spec = JobSpec::parse(spec_line)
             .map_err(|e| self.corrupt(format!("spec for job {id}: {e}")))?;
-        Ok(match outcome {
-            StreamedOutcome::Done {
-                instructions,
-                cycles,
-                machine_checks,
-                digest,
-            } => render_done(
-                id,
-                &spec.render(),
+        let spec_json = json_escape(&spec.render());
+        let head = settle.split_once('\n').map_or(settle, |(head, _)| head);
+        if head.starts_with("complete ") {
+            let section = Section::split(settle)
+                .ok()
+                .filter(|s| s.prefix.strip_prefix("complete ").map(str::parse) == Some(Ok(id)))
+                .ok_or_else(|| {
+                    self.corrupt(format!("bad complete record for job {id}: `{head}`"))
+                })?;
+            let machine_checks: u64 = section
+                .body
+                .lines()
+                .find_map(|l| l.trim().strip_prefix("counter machine_checks "))
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(0);
+            let (instructions, cycles) = (section.instructions, section.cycles);
+            let cpi = if instructions > 0 {
+                cycles as f64 / instructions as f64
+            } else {
+                0.0
+            };
+            Ok(format!(
+                "{{\"job\":{id},\"spec\":\"{spec_json}\",\"workload\":\"{}\",\
+                 \"instructions\":{instructions},\"cycles\":{cycles},\"cpi\":{cpi:.6},\
+                 \"machine_checks\":{machine_checks},\"digest\":\"{:016x}\"}}",
                 spec.workload.name(),
-                instructions,
-                cycles,
-                machine_checks,
-                digest,
-            ),
-            StreamedOutcome::Failed { attempts, message } => {
-                render_failed(id, &spec.render(), attempts, &message)
-            }
-        })
+                fnv64(&section.body),
+            ))
+        } else if let Some(fail) = head.strip_prefix(&format!("fail {id} attempts ")) {
+            let parsed = fail
+                .split_once(" message ")
+                .and_then(|(k, msg)| k.parse::<u32>().ok().map(|k| (k, unescape_message(msg))));
+            let Some((attempts, message)) = parsed else {
+                return Err(self.corrupt(format!("bad fail record for job {id}: `{head}`")));
+            };
+            Ok(format!(
+                "{{\"job\":{id},\"spec\":\"{spec_json}\",\"failed\":true,\
+                 \"attempts\":{attempts},\"message\":\"{}\"}}",
+                json_escape(&message),
+            ))
+        } else {
+            Err(self.corrupt(format!("unrecognized settle record for job {id}: `{head}`")))
+        }
     }
 
     /// Stream every settled job's result line into `out`, id order,
@@ -1478,8 +1183,9 @@ impl Journal {
         let mut files = SegmentFiles::default();
         let mut lines = 0usize;
         for (&id, r) in &self.settled {
-            let (spec_line, outcome) = self.read_settled_with(&mut files, id, *r)?;
-            let line = self.render_result(id, &spec_line, outcome)?;
+            let line = self.with_settled(&mut files, id, *r, |spec, settle| {
+                self.render_result(id, spec, settle)
+            })?;
             writeln!(out, "{line}").map_err(|e| self.io_err(e))?;
             lines += 1;
         }
@@ -1487,8 +1193,7 @@ impl Journal {
     }
 }
 
-/// Lazily opened read handles, one per segment, shared across a
-/// streaming pass.
+/// Lazily opened read handles, one per segment, shared across a pass.
 #[derive(Default)]
 struct SegmentFiles {
     snapshot: Option<File>,
@@ -1496,24 +1201,30 @@ struct SegmentFiles {
 }
 
 impl SegmentFiles {
-    fn snapshot(&mut self, path: &Path) -> Result<&mut File, JournalError> {
-        if self.snapshot.is_none() {
-            self.snapshot = Some(File::open(path).map_err(|source| JournalError::Io {
-                path: path.to_path_buf(),
-                source,
-            })?);
+    /// Read `len` bytes at `at` from one of the journal's segments.
+    fn read(
+        &mut self,
+        j: &Journal,
+        seg: Segment,
+        at: u64,
+        len: u64,
+    ) -> Result<Vec<u8>, JournalError> {
+        let (slot, path) = match seg {
+            Segment::Snapshot => (&mut self.snapshot, &j.snap_path),
+            Segment::Tail => (&mut self.tail, &j.path),
+        };
+        let io = |source| JournalError::Io {
+            path: path.clone(),
+            source,
+        };
+        if slot.is_none() {
+            *slot = Some(File::open(path).map_err(io)?);
         }
-        Ok(self.snapshot.as_mut().unwrap())
-    }
-
-    fn tail(&mut self, path: &Path) -> Result<&mut File, JournalError> {
-        if self.tail.is_none() {
-            self.tail = Some(File::open(path).map_err(|source| JournalError::Io {
-                path: path.to_path_buf(),
-                source,
-            })?);
-        }
-        Ok(self.tail.as_mut().unwrap())
+        let file = slot.as_mut().expect("opened above");
+        file.seek(SeekFrom::Start(at)).map_err(io)?;
+        let mut buf = vec![0u8; len as usize];
+        file.read_exact(&mut buf).map_err(io)?;
+        Ok(buf)
     }
 }
 
@@ -1640,7 +1351,7 @@ mod tests {
              enqueue 1 workload=sci-eng instructions=10 warmup=1\n",
             "vax-queue-journal v2 generation 0 next 1\ngarbage\n\
              enqueue 1 workload=sci-eng instructions=10 warmup=1\n",
-            // v1 journals replay under the same rules before upgrade.
+            // A v1 journal is no longer read.
             "vax-queue-journal v1\nstart 7 attempt 1\n",
             // A generation with no snapshot segment to back it.
             "vax-queue-journal v2 generation 3 next 1\n",
@@ -1761,47 +1472,6 @@ mod tests {
         j.compact().unwrap();
         let mut back = Journal::open(&path).unwrap();
         assert_eq!(back.append_enqueue(&spec).unwrap(), 4);
-    }
-
-    #[test]
-    fn v1_journal_upgrades_on_open_with_identical_results() {
-        let dir = tempdir("vax-journal-upgrade");
-        let path = dir.join("queue.journal");
-        // Build a v2 journal to borrow its record bytes, then rewrite
-        // the header to v1 (the record grammar is unchanged).
-        let mut j = Journal::open(&path).unwrap();
-        let spec = JobSpec::new(WorkloadKind::TimesharingHeavy);
-        j.append_enqueue(&spec).unwrap();
-        j.append_start(1, 1).unwrap();
-        j.append_complete(1, &sample(WorkloadKind::TimesharingHeavy))
-            .unwrap();
-        j.append_enqueue(&spec).unwrap();
-        let v2_results = all_results(&j);
-        drop(j);
-        let text = std::fs::read_to_string(&path).unwrap();
-        let (header, records) = text.split_once('\n').unwrap();
-        assert!(header.starts_with(HEADER_V2), "{header}");
-        std::fs::write(&path, format!("{HEADER_V1}\n{records}")).unwrap();
-        let _ = std::fs::remove_file(snap_path_for(&path));
-
-        let j = Journal::open(&path).unwrap();
-        assert!(
-            j.warnings().iter().any(|w| w.contains("upgraded")),
-            "{:?}",
-            j.warnings()
-        );
-        // Upgrade compacts: the on-disk pair is now v2.
-        assert_eq!(j.generation(), 1);
-        assert!(snap_path_for(&path).exists());
-        assert!(std::fs::read_to_string(&path)
-            .unwrap()
-            .starts_with(HEADER_V2));
-        assert_eq!(all_results(&j), v2_results);
-        assert_eq!(j.counts(), (1, 1, 0));
-        // And the upgraded pair reopens cleanly.
-        let back = Journal::open(&path).unwrap();
-        assert!(back.warnings().is_empty());
-        assert_eq!(all_results(&back), v2_results);
     }
 
     #[test]

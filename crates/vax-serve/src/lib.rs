@@ -8,8 +8,8 @@
 //! - [`spec::JobSpec`] — one request (workload × CPU config × memory
 //!   config × fault plan × seed) on one strict `key=value` line;
 //! - [`journal::Journal`] — the persistent queue: every lifecycle
-//!   transition (`enqueue`/`start`/`complete`/`fail`) is one appended,
-//!   flushed record in the `vax-queue-journal v2` codec; settled jobs
+//!   transition (`enqueue`/`start`/`complete`/`fail`) is one record
+//!   written to the `vax-queue-journal v2` log; settled jobs
 //!   compact into a snapshot segment behind an offset index, so replay
 //!   and result streaming are O(unsettled) in memory and the live tail
 //!   stays small no matter how long the queue's history grows;
@@ -24,7 +24,9 @@
 //! instant, restart it on the same journal, and the merged results are
 //! bit-identical to an uninterrupted run — completed jobs replay from
 //! disk, unsettled jobs re-run, and `Experiment::run`'s determinism
-//! makes the re-runs indistinguishable from first runs.
+//! makes the re-runs indistinguishable from first runs. Records are
+//! written, not fsynced one by one: an OS crash or power loss can lose
+//! the most recent transitions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -14,7 +14,7 @@ use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
-use upc_monitor::codec;
+use vax780_core::record_log::{render_section, Section};
 use vax780_core::MeasuredWorkload;
 
 const BLOB_HEADER: &str = "vax-job-result v1";
@@ -51,18 +51,10 @@ pub trait Executor: Send + Sync {
 }
 
 /// Render a measurement as the `vax-job-result v1` blob a job-worker
-/// process writes to stdout.
+/// process writes to stdout: the header, then a `result` measurement
+/// section.
 pub fn render_result_blob(m: &MeasuredWorkload) -> String {
-    let mut out = format!(
-        "{BLOB_HEADER}\nresult instructions {} cycles {}\n",
-        m.instructions, m.cycles
-    );
-    out.push_str(&codec::to_text_with_counters(
-        &m.histogram,
-        &m.counters.to_pairs(),
-    ));
-    out.push_str("end\n");
-    out
+    format!("{BLOB_HEADER}\n{}", render_section("result", m))
 }
 
 /// Parse a `vax-job-result v1` blob back into a measurement. `name`
@@ -72,45 +64,15 @@ pub fn render_result_blob(m: &MeasuredWorkload) -> String {
 ///
 /// A description of the first malformed line.
 pub fn parse_result_blob(text: &str, name: &'static str) -> Result<MeasuredWorkload, String> {
-    let mut lines = text.lines();
-    match lines.next() {
-        Some(l) if l.trim() == BLOB_HEADER => {}
-        other => return Err(format!("missing `{BLOB_HEADER}` header (got {other:?})")),
+    let (header, section) = text.split_once('\n').unwrap_or((text, ""));
+    if header.trim() != BLOB_HEADER {
+        return Err(format!("missing `{BLOB_HEADER}` header (got `{header}`)"));
     }
-    let head = lines.next().unwrap_or("");
-    let (instructions, cycles) = match head.split_ascii_whitespace().collect::<Vec<_>>().as_slice()
-    {
-        ["result", "instructions", i, "cycles", c] => i
-            .parse::<u64>()
-            .ok()
-            .zip(c.parse::<u64>().ok())
-            .ok_or_else(|| format!("bad result line `{head}`"))?,
-        _ => return Err(format!("bad result line `{head}`")),
-    };
-    let mut body = String::new();
-    let mut closed = false;
-    for l in lines {
-        if l.trim() == "end" {
-            closed = true;
-            break;
-        }
-        body.push_str(l);
-        body.push('\n');
+    let section = Section::split(section)?;
+    if section.prefix != "result" {
+        return Err(format!("bad result line `{}`", section.prefix));
     }
-    if !closed {
-        return Err("result blob has no `end` line".to_string());
-    }
-    let (histogram, counter_pairs) =
-        codec::from_text_with_counters(&body).map_err(|e| e.to_string())?;
-    let counters =
-        vax_mem::HwCounters::from_pairs(counter_pairs.iter().map(|(n, v)| (n.as_str(), *v)));
-    Ok(MeasuredWorkload {
-        name,
-        histogram,
-        counters,
-        instructions,
-        cycles,
-    })
+    section.decode(name)
 }
 
 /// Run the job on the calling process, one thread per attempt.

@@ -2,8 +2,9 @@
 //!
 //! One [`Shared`] state — journal, in-memory queue, running set —
 //! behind a mutex/condvar pair. Worker threads claim job ids, append
-//! `start`/`complete`/`fail` transitions (each flushed before the
-//! in-memory state advances), and run attempts outside the lock.
+//! `start`/`complete`/`fail` transitions (each written to the journal
+//! before the in-memory state advances), and run attempts outside the
+//! lock.
 //! Connection handlers mutate the same state: `enqueue` applies
 //! backpressure against a fixed capacity of unsettled jobs (plus an
 //! optional per-client quota), `claim` hands a job to a remote worker

@@ -1,0 +1,256 @@
+//! Hostile input: every reader of a checkpoint, a queue journal (tail
+//! and snapshot) or a `vax-job-result v1` blob returns `Ok` or `Err` —
+//! it never panics — on arbitrary bytes, on any truncation of a valid
+//! file, and on any single-byte flip of one.
+
+use proptest::prelude::*;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
+use upc_monitor::Histogram;
+use vax780_core::{Checkpoint, MeasuredWorkload};
+use vax_mem::HwCounters;
+use vax_serve::queue::{parse_result_blob, render_result_blob};
+use vax_serve::{JobSpec, Journal};
+use vax_ucode::MicroAddr;
+use vax_workloads::WorkloadKind;
+
+static UNIQUE: AtomicU64 = AtomicU64::new(0);
+
+/// A scratch directory, removed on drop.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new() -> TempDir {
+        let dir = std::env::temp_dir().join(format!(
+            "vax-serve-hostile-{}-{}",
+            std::process::id(),
+            UNIQUE.fetch_add(1, Ordering::SeqCst)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        TempDir(dir)
+    }
+
+    fn join(&self, name: &str) -> PathBuf {
+        self.0.join(name)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn sample(seed: u64) -> MeasuredWorkload {
+    let mut h = Histogram::new();
+    h.add_issue(MicroAddr::new(0x20 + seed as u16), 40 + seed);
+    h.add_stall(MicroAddr::new(0x20 + seed as u16), seed);
+    let mut c = HwCounters::new();
+    c.sbi_reads = seed;
+    c.machine_checks = seed % 2;
+    MeasuredWorkload {
+        name: WorkloadKind::ALL[seed as usize % 5].name(),
+        histogram: h,
+        counters: c,
+        instructions: 1000,
+        cycles: 4000 + seed,
+    }
+}
+
+/// Valid files of every format, to truncate and flip.
+struct Valid {
+    checkpoint: Vec<u8>,
+    tail: Vec<u8>,
+    snapshot: Vec<u8>,
+    /// The tail that goes with `snapshot`.
+    snapshot_tail: Vec<u8>,
+    blob: Vec<u8>,
+}
+
+fn valid() -> &'static Valid {
+    static VALID: OnceLock<Valid> = OnceLock::new();
+    VALID.get_or_init(|| {
+        let dir = TempDir::new();
+        let ckpt = dir.join("campaign.ckpt");
+        let mut cp = Checkpoint::open(&ckpt, 1000, 100).unwrap();
+        for seed in 0..2 {
+            cp.record(WorkloadKind::ALL[seed].name(), &sample(seed as u64))
+                .unwrap();
+        }
+        let path = dir.join("queue.journal");
+        let mut j = Journal::open(&path).unwrap();
+        for seed in 1..=3 {
+            let mut spec = JobSpec::new(WorkloadKind::ALL[seed as usize % 5]);
+            spec.seed = Some(seed);
+            j.append_enqueue_for(if seed == 2 { "alice" } else { "" }, &spec)
+                .unwrap();
+            j.append_start(seed, 1).unwrap();
+        }
+        j.append_complete(1, &sample(1)).unwrap();
+        j.append_fail(2, 2, "worker panicked:\nboom").unwrap();
+        let tail = std::fs::read(&path).unwrap();
+        j.compact().unwrap();
+        j.append_complete(3, &sample(3)).unwrap();
+        j.append_enqueue(&JobSpec::new(WorkloadKind::SciEng))
+            .unwrap();
+        Valid {
+            checkpoint: std::fs::read(&ckpt).unwrap(),
+            tail,
+            snapshot: std::fs::read(j.snapshot_path()).unwrap(),
+            snapshot_tail: std::fs::read(&path).unwrap(),
+            blob: render_result_blob(&sample(4)).into_bytes(),
+        }
+    })
+}
+
+/// Open a journal and, if it opens, read every job back from it.
+fn open_and_stream(path: &Path) {
+    if let Ok(j) = Journal::open(path) {
+        let _ = j.stream_results(&mut std::io::sink());
+        for (id, _) in j.states() {
+            let _ = j.spec_line(id);
+        }
+    }
+}
+
+fn open_checkpoint(bytes: &[u8]) {
+    let dir = TempDir::new();
+    let path = dir.join("campaign.ckpt");
+    std::fs::write(&path, bytes).unwrap();
+    let _ = Checkpoint::open(&path, 1000, 100);
+}
+
+fn open_tail(bytes: &[u8]) {
+    let dir = TempDir::new();
+    let path = dir.join("queue.journal");
+    std::fs::write(&path, bytes).unwrap();
+    open_and_stream(&path);
+}
+
+fn open_snapshot(bytes: &[u8]) {
+    let dir = TempDir::new();
+    let path = dir.join("queue.journal");
+    std::fs::write(&path, &valid().snapshot_tail).unwrap();
+    std::fs::write(path.with_extension("journal.snap"), bytes).unwrap();
+    open_and_stream(&path);
+}
+
+fn parse_blob(bytes: &[u8]) {
+    let _ = parse_result_blob(&String::from_utf8_lossy(bytes), "x");
+}
+
+/// Every target, each fed its own valid file with `damage` applied.
+fn damage_each(damage: impl Fn(&[u8]) -> Vec<u8>) {
+    let v = valid();
+    open_checkpoint(&damage(&v.checkpoint));
+    open_tail(&damage(&v.tail));
+    open_snapshot(&damage(&v.snapshot));
+    parse_blob(&damage(&v.blob));
+}
+
+#[test]
+fn valid_files_open_cleanly() {
+    let v = valid();
+    let dir = TempDir::new();
+    let ckpt = dir.join("campaign.ckpt");
+    std::fs::write(&ckpt, &v.checkpoint).unwrap();
+    assert_eq!(
+        Checkpoint::open(&ckpt, 1000, 100)
+            .unwrap()
+            .completed()
+            .len(),
+        2
+    );
+    let path = dir.join("queue.journal");
+    std::fs::write(&path, &v.tail).unwrap();
+    assert_eq!(Journal::open(&path).unwrap().counts(), (1, 1, 1));
+    std::fs::write(&path, &v.snapshot_tail).unwrap();
+    std::fs::write(path.with_extension("journal.snap"), &v.snapshot).unwrap();
+    assert_eq!(Journal::open(&path).unwrap().counts(), (1, 2, 1));
+    assert!(parse_result_blob(std::str::from_utf8(&v.blob).unwrap(), "x").is_ok());
+}
+
+/// An index entry whose length wraps `u64` once was an add overflow in
+/// `Journal::open`, and in release a bounds check that passed.
+#[test]
+fn snapshot_index_overflow_is_corrupt() {
+    for entry in [
+        "entry 1 18446744073709551615 1 done",
+        "entry 1 0 18446744073709551615 done",
+        "entry 18446744073709551615 0 1 done",
+    ] {
+        let dir = TempDir::new();
+        let path = dir.join("queue.journal");
+        std::fs::write(&path, "vax-queue-journal v2 generation 1 next 1\n").unwrap();
+        std::fs::write(
+            path.with_extension("journal.snap"),
+            format!("vax-queue-snapshot v2 generation 1 jobs 1\nindex\n{entry}\nend\nx\n"),
+        )
+        .unwrap();
+        let err = Journal::open(&path).unwrap_err();
+        assert!(
+            matches!(err, vax_serve::JournalError::Corrupt { .. }),
+            "{entry}: {err}"
+        );
+    }
+}
+
+/// Fixed hostile inputs that each once reached an arithmetic overflow.
+#[test]
+fn overflowing_counts_and_ids_are_errors() {
+    let bucket = "upc-histogram v1\n10 18446744073709551615 0\n10 1 0\nend\n";
+    open_checkpoint(
+        format!(
+            "vax-campaign-checkpoint v1\nconfig instructions 1000 warmup 100\n\
+             job sci-eng instructions 1 cycles 2\n{bucket}"
+        )
+        .as_bytes(),
+    );
+    parse_blob(format!("vax-job-result v1\nresult instructions 1 cycles 2\n{bucket}").as_bytes());
+    open_tail(
+        b"vax-queue-journal v2 generation 0 next 1\n\
+          enqueue 18446744073709551615 workload=sci-eng\n",
+    );
+    open_tail(b"vax-queue-journal v2 generation 0 next 18446744073709551615\n");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(500))]
+
+    #[test]
+    fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
+        open_checkpoint(&bytes);
+        open_tail(&bytes);
+        open_snapshot(&bytes);
+        parse_blob(&bytes);
+        // Behind a valid header, the bytes reach the record parsers.
+        let behind = |header: &str| {
+            let mut v = header.as_bytes().to_vec();
+            v.extend_from_slice(&bytes);
+            v
+        };
+        open_checkpoint(&behind(
+            "vax-campaign-checkpoint v1\nconfig instructions 1000 warmup 100\n",
+        ));
+        open_tail(&behind("vax-queue-journal v2 generation 0 next 1\n"));
+        open_snapshot(&behind("vax-queue-snapshot v2 generation 1 jobs 1\nindex\n"));
+        parse_blob(&behind("vax-job-result v1\nresult instructions 1 cycles 2\n"));
+    }
+
+    #[test]
+    fn truncated_valid_files_never_panic(cut: usize) {
+        damage_each(|file| file[..cut % (file.len() + 1)].to_vec());
+    }
+
+    #[test]
+    fn single_byte_flips_never_panic(at: usize, flip in 1u8..=255) {
+        damage_each(|file| {
+            let mut file = file.to_vec();
+            let i = at % file.len();
+            file[i] ^= flip;
+            file
+        });
+    }
+}

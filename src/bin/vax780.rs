@@ -77,7 +77,7 @@
 
 use std::process::ExitCode;
 use vax780_core::sweep::{Sweep, SweepAxis, SweepGrid};
-use vax780_core::{Checkpoint, CompositeStudy, Experiment, RetryPolicy};
+use vax780_core::{Checkpoint, CheckpointConfig, CompositeStudy, Experiment, RetryPolicy};
 use vax_analysis::report::StudyReport;
 use vax_analysis::Analysis;
 use vax_cpu::CpuConfig;
@@ -485,14 +485,18 @@ fn cmd_run(args: &[String]) -> ExitCode {
         }
         let outcome = match checkpoint_path {
             Some(path) => {
-                let mut cp =
-                    match Checkpoint::open(std::path::Path::new(path), instructions, warmup) {
-                        Ok(cp) => cp,
-                        Err(e) => {
-                            eprintln!("vax780 run: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    };
+                let config = CheckpointConfig {
+                    instructions,
+                    warmup,
+                    decode_overlap: cpu_config.decode_overlap,
+                };
+                let mut cp = match Checkpoint::open_for(std::path::Path::new(path), config) {
+                    Ok(cp) => cp,
+                    Err(e) => {
+                        eprintln!("vax780 run: {e}");
+                        return ExitCode::FAILURE;
+                    }
+                };
                 let restored = cp.completed().len();
                 if restored > 0 {
                     eprintln!("resuming: {restored} job(s) restored from {path}");

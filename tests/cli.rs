@@ -561,6 +561,70 @@ fn run_checkpoint_halts_resumes_and_matches_uninterrupted() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--checkpoint"));
 }
 
+/// A checkpoint records `--decode-overlap`, so a campaign halted on the
+/// 11/750-style CPU cannot resume on the 11/780 one (or the reverse)
+/// and merge measurements of two different machines.
+#[test]
+fn run_checkpoint_refuses_a_decode_overlap_mismatch() {
+    let dir = std::env::temp_dir().join("vax780-ckpt-overlap-cli-test");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let base = [
+        "run",
+        "--workload",
+        "all",
+        "--instructions",
+        "2000",
+        "--warmup",
+        "800",
+    ];
+    let run = |ckpt: &std::path::Path, extra: &[&str]| {
+        vax780()
+            .args(base)
+            .arg("--checkpoint")
+            .arg(ckpt)
+            .args(extra)
+            .output()
+            .expect("runs")
+    };
+
+    let overlapped = dir.join("overlap.ckpt");
+    let halted = run(&overlapped, &["--decode-overlap", "--halt-after", "2"]);
+    assert!(halted.status.success());
+    let refused = run(&overlapped, &[]);
+    assert!(
+        !refused.status.success(),
+        "resumed without --decode-overlap"
+    );
+    let err = String::from_utf8_lossy(&refused.stderr);
+    assert!(err.contains("decode-overlap"), "{err}");
+
+    let plain = dir.join("plain.ckpt");
+    assert!(run(&plain, &["--halt-after", "2"]).status.success());
+    assert!(!run(&plain, &["--decode-overlap"]).status.success());
+
+    // The matching resume still equals an uninterrupted campaign.
+    let resumed = run(&overlapped, &["--decode-overlap"]);
+    assert!(
+        resumed.status.success(),
+        "{}",
+        String::from_utf8_lossy(&resumed.stderr)
+    );
+    let uninterrupted = vax780()
+        .args(base)
+        .arg("--decode-overlap")
+        .output()
+        .expect("runs");
+    let headline = |out: &std::process::Output| {
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .find(|l| l.starts_with("instructions "))
+            .expect("headline")
+            .to_string()
+    };
+    assert_eq!(headline(&resumed), headline(&uninterrupted));
+}
+
 #[test]
 fn run_parallel_composite_matches_serial_and_reports_metrics() {
     let base = [
