@@ -127,6 +127,28 @@ wait "$SERVE_PID"
 wait "$WORKER_PID"
 diff "$CKPT_DIR/reference.jsonl" "$CKPT_DIR/remote.jsonl"
 
+# Sweep-memo gate: one process drains one (workload, seed) pair at four
+# config points, so three of its four builds reuse the memoized code of
+# the first. Each job's digest must equal that of a cold build in a
+# separate single-job process, and the four points must differ.
+SWEEP="workload=educational instructions=20000 warmup=5000 seed=11"
+N=0
+for point in "" " cache-kb=4" " tb-entries=64" " write-buffer=4"; do
+    N=$((N + 1))
+    "$VAX780" enqueue --queue "$CKPT_DIR/sweep.journal" --spec "$SWEEP$point"
+    "$VAX780" enqueue --queue "$CKPT_DIR/cold$N.journal" --spec "$SWEEP$point"
+    "$VAX780" drain --queue "$CKPT_DIR/cold$N.journal" --serial \
+        --out "$CKPT_DIR/cold$N.jsonl"
+    sed -n 's/.*"digest":"\([0-9a-f]*\)".*/\1/p' "$CKPT_DIR/cold$N.jsonl" \
+        >> "$CKPT_DIR/cold-digests.txt"
+done
+"$VAX780" drain --queue "$CKPT_DIR/sweep.journal" --serial \
+    --out "$CKPT_DIR/sweep.jsonl"
+sed -n 's/.*"digest":"\([0-9a-f]*\)".*/\1/p' "$CKPT_DIR/sweep.jsonl" \
+    > "$CKPT_DIR/sweep-digests.txt"
+diff "$CKPT_DIR/cold-digests.txt" "$CKPT_DIR/sweep-digests.txt"
+test "$(sort -u "$CKPT_DIR/sweep-digests.txt" | wc -l)" -eq 4
+
 # Self-characterization gate: the full probe campaign — every opcode x
 # addressing-mode pair the five profiles execute, plus the per-mode
 # reference carriers — must measure, reconcile all three instruments

@@ -79,7 +79,7 @@ impl Experiment {
     pub fn run(&self) -> MeasuredWorkload {
         // Debug builds refuse structurally broken workloads up front;
         // release campaigns skip the analysis cost. The gate memoizes
-        // per (profile, seed), so sweeps pay it once.
+        // per distinct parameter set, so sweeps pay it once.
         #[cfg(debug_assertions)]
         vax_lint::debug_gate(&self.params);
         let mut machine = build_machine_with_config(&self.params, self.cpu_config, self.mem_config);

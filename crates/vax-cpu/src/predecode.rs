@@ -86,6 +86,9 @@ impl PredecodedInst {
 #[derive(Debug, Clone, Copy)]
 struct Tag {
     pc: u32,
+    /// This way's payload index in `insts`; [`NO_SLOT`] until the first
+    /// insert into the way, which appends its payload.
+    slot: u32,
     /// Address-space tag at insert time (0 for system-space code).
     space: u64,
     /// `decode_gen` at insert time; 0 = empty (the subsystem's
@@ -111,11 +114,16 @@ pub struct PredecodeStats {
 /// direct-mapped array would ping-pong hot instructions that share an
 /// index; the replacement policy protects the most recently hit way, so
 /// a conflicting cold instruction cannot evict a loop body.
+///
+/// The payload array grows with the static code the CPU actually runs:
+/// it is reserved for every way up front (so indices never move) but
+/// written only as ways fill, one payload per way that was ever used.
 #[derive(Debug)]
 pub(crate) struct PredecodeCache {
     /// `2 * SETS` slot identities; set `i` occupies `[2i, 2i + 1]`.
     tags: Vec<Tag>,
-    /// The instruction payloads, parallel to `tags`.
+    /// The instruction payloads, in first-insert order; each used way
+    /// owns the entry its tag's `slot` names.
     insts: Vec<PredecodedInst>,
     mask: usize,
     /// One bit per set: which way was most recently hit (victim is the
@@ -125,19 +133,25 @@ pub(crate) struct PredecodeCache {
 }
 
 /// Set count (× 2 ways): generously covers the combined static
-/// instructions of every process of a workload at ~5 MB of host memory
-/// per CPU.
+/// instructions of every process of a workload. Tags cost ~0.8 MB per
+/// CPU; payloads 160 B per way used, so ~5 MB only for a CPU whose
+/// static footprint fills every way.
 const SETS: usize = 1 << 14;
 
-/// Total slots — the index space `lookup` hands out.
+/// Total slots — the most payloads `insts` ever holds.
 const SLOTS: usize = 2 * SETS;
+
+/// `Tag::slot` of a way that has never held an entry.
+const NO_SLOT: u32 = u32::MAX;
 
 impl PredecodeCache {
     /// An empty cache; `enabled == false` allocates nothing (the naive
-    /// loop never touches it).
+    /// loop never touches it). The payload array is reserved, not
+    /// written.
     pub(crate) fn new(enabled: bool) -> PredecodeCache {
         let empty = Tag {
             pc: 0,
+            slot: NO_SLOT,
             space: 0,
             gen: 0,
         };
@@ -148,7 +162,7 @@ impl PredecodeCache {
                 Vec::new()
             },
             insts: if enabled {
-                vec![PredecodedInst::new(Opcode::Nop); SLOTS]
+                Vec::with_capacity(SLOTS)
             } else {
                 Vec::new()
             },
@@ -201,9 +215,10 @@ impl PredecodeCache {
         for way in 0..2 {
             let tag = &self.tags[2 * set + way];
             if tag.gen == gen && tag.pc == pc && tag.space == space {
+                let slot = tag.slot as usize;
                 self.stats.hits += 1;
                 self.note_mru(set, way);
-                return Some(2 * set + way);
+                return Some(slot);
             }
         }
         self.stats.misses += 1;
@@ -225,7 +240,8 @@ impl PredecodeCache {
 
     /// Insert (or replace) the parse of the instruction at `pc`: refresh
     /// a matching slot, else reuse a dead one, else evict the way that
-    /// was not hit most recently.
+    /// was not hit most recently. The chosen way's payload is
+    /// overwritten in place, or appended if the way was never used.
     ///
     /// A dead slot is one whose generation stamp is not `gen`: the
     /// subsystem's generation only grows, and a lookup demands an exact
@@ -252,8 +268,20 @@ impl PredecodeCache {
                 let mru = (self.mru[set / 64] >> (set % 64)) & 1;
                 1 - mru as usize
             });
-        self.tags[2 * set + way] = Tag { pc, space, gen };
-        self.insts[2 * set + way] = inst;
+        let tag = &mut self.tags[2 * set + way];
+        let slot = if tag.slot == NO_SLOT {
+            self.insts.push(inst);
+            (self.insts.len() - 1) as u32
+        } else {
+            self.insts[tag.slot as usize] = inst;
+            tag.slot
+        };
+        *tag = Tag {
+            pc,
+            slot,
+            space,
+            gen,
+        };
         self.note_mru(set, way);
     }
 }
@@ -316,6 +344,74 @@ mod tests {
         let slot = cache.lookup(e, 0, 3).expect("refreshed in place");
         assert_eq!(cache.header_at(slot).0, Opcode::Movl);
         assert!(cache.lookup(d, 0, 3).is_some(), "neighbor way survived");
+    }
+
+    #[test]
+    fn construction_writes_no_payload() {
+        let cache = PredecodeCache::new(true);
+        assert!(cache.insts.is_empty(), "payload written at construction");
+        assert!(cache.insts.capacity() >= SLOTS, "indices must never move");
+        assert!(PredecodeCache::new(false).insts.capacity() == 0);
+    }
+
+    #[test]
+    fn payload_grows_no_faster_than_inserts() {
+        let mut cache = PredecodeCache::new(true);
+        let pcs = [
+            0x200,
+            0x204,
+            0x200,
+            0x200 + SETS as u32,
+            0x200 + 2 * SETS as u32,
+        ];
+        // The generation bumps every fourth insert, so the sequence
+        // mixes fresh ways, refreshes, stale reuse and eviction.
+        for (n, &pc) in (0..).zip(pcs.iter().chain(&pcs)) {
+            cache.insert(pc, 0, n / 4 + 1, PredecodedInst::new(Opcode::Nop));
+            let stats = cache.stats();
+            assert!(cache.insts.len() as u64 <= stats.inserts);
+            assert!(cache.insts.len() <= SLOTS);
+        }
+        // Two sets touched, two ways each at most.
+        assert_eq!(cache.insts.len(), 3);
+    }
+
+    #[test]
+    fn eviction_and_stale_reuse_overwrite_the_payload_in_place() {
+        let mut cache = PredecodeCache::new(true);
+        let a = 0x400;
+        let b = a + SETS as u32;
+        let c = a + 2 * SETS as u32;
+        cache.insert(a, 0, 1, PredecodedInst::new(Opcode::Nop));
+        cache.insert(b, 0, 1, PredecodedInst::new(Opcode::Movl));
+        let slot_a = cache.lookup(a, 0, 1).expect("a resident");
+        let slot_b = cache.lookup(b, 0, 1).expect("b resident");
+        assert_ne!(slot_a, slot_b);
+        assert_eq!(cache.insts.len(), 2);
+
+        // b is MRU, so c evicts a and takes over a's payload.
+        cache.insert(c, 0, 1, PredecodedInst::new(Opcode::Addl2));
+        assert_eq!(cache.insts.len(), 2, "eviction appended a payload");
+        assert_eq!(cache.lookup(c, 0, 1), Some(slot_a));
+        assert_eq!(cache.header_at(slot_a).0, Opcode::Addl2);
+        assert_eq!(cache.header_at(slot_b).0, Opcode::Movl);
+
+        // A generation bump kills both ways; new entries reuse their
+        // payloads without growing the array.
+        let d = a + 3 * SETS as u32;
+        let e = a + 4 * SETS as u32;
+        cache.insert(d, 0, 2, PredecodedInst::new(Opcode::Subl2));
+        cache.insert(e, 0, 2, PredecodedInst::new(Opcode::Clrl));
+        assert_eq!(cache.insts.len(), 2, "stale reuse appended a payload");
+        let slot_d = cache.lookup(d, 0, 2).expect("d resident");
+        let slot_e = cache.lookup(e, 0, 2).expect("e resident");
+        let mut slots = [slot_d, slot_e];
+        slots.sort_unstable();
+        let mut old = [slot_a, slot_b];
+        old.sort_unstable();
+        assert_eq!(slots, old);
+        assert_eq!(cache.header_at(slot_d).0, Opcode::Subl2);
+        assert_eq!(cache.header_at(slot_e).0, Opcode::Clrl);
     }
 
     #[test]

@@ -107,22 +107,13 @@ pub fn verify_profile(params: &ProfileParams) -> Result<Report, WorkloadError> {
 }
 
 /// Debug-mode construction gate: lint the profile's tables and images
-/// once per (name, seed), panicking on error-severity findings. Wired
-/// into experiment setup under `cfg(debug_assertions)` so development
-/// runs refuse structurally broken workloads; release campaigns skip
-/// the cost.
+/// once per distinct [`ProfileParams`], panicking on error-severity
+/// findings. Wired into experiment setup under `cfg(debug_assertions)`
+/// so development runs refuse structurally broken workloads; release
+/// campaigns skip the cost.
 pub fn debug_gate(params: &ProfileParams) {
-    use std::collections::HashSet;
-    use std::sync::Mutex;
-    static SEEN: Mutex<Option<HashSet<(String, u64)>>> = Mutex::new(None);
-    {
-        let mut seen = SEEN.lock().expect("lint gate lock");
-        if !seen
-            .get_or_insert_with(HashSet::new)
-            .insert((params.name.to_string(), params.seed))
-        {
-            return;
-        }
+    if !first_sighting(params) {
+        return;
     }
     let mut report = lint_tables();
     match lint_profile(params) {
@@ -136,6 +127,20 @@ pub fn debug_gate(params: &ProfileParams) {
             report.render_text()
         );
     }
+}
+
+/// Record `params` as gated; false if an equal set was gated before.
+/// The key is the whole parameter set: a custom profile that keeps a
+/// built-in's name and seed still generates different code.
+fn first_sighting(params: &ProfileParams) -> bool {
+    use std::sync::Mutex;
+    static SEEN: Mutex<Vec<ProfileParams>> = Mutex::new(Vec::new());
+    let mut seen = SEEN.lock().expect("lint gate lock");
+    if seen.contains(params) {
+        return false;
+    }
+    seen.push(params.clone());
+    true
 }
 
 #[cfg(test)]
@@ -182,5 +187,24 @@ mod tests {
         let params = profile(WorkloadKind::TimesharingLight);
         debug_gate(&params);
         debug_gate(&params); // second call hits the cache
+    }
+
+    #[test]
+    fn debug_gate_keys_on_the_whole_profile() {
+        // Same name and seed as the built-in, different code: both must
+        // be linted. (A seed no other test gates keeps this independent
+        // of test order.)
+        let base = ProfileParams {
+            seed: 0x6A7E,
+            ..profile(WorkloadKind::TimesharingLight)
+        };
+        let wider = ProfileParams {
+            functions_per_process: base.functions_per_process + 1,
+            ..base.clone()
+        };
+        assert!(first_sighting(&base));
+        assert!(first_sighting(&wider), "custom profile skipped the gate");
+        assert!(!first_sighting(&base));
+        assert!(!first_sighting(&wider));
     }
 }

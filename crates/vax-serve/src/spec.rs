@@ -14,6 +14,23 @@ use vax_fault::{FaultClass, FaultPlan};
 use vax_mem::MemConfig;
 use vax_workloads::{profile, WorkloadKind};
 
+/// Most faults one job may schedule: fault classes listed ×
+/// `fault-count`. [`FaultPlan::seeded`] materializes every fault up
+/// front, so an unbounded count would exhaust the memory of the process
+/// running the job (for the in-process server, the whole server).
+pub const MAX_FAULTS_PER_JOB: u64 = 4096;
+
+/// Largest `cache-kb` accepted (1 MiB, 128× the 11/780's cache): the
+/// cache's tag array is allocated whole when the machine is built.
+pub const MAX_CACHE_KB: u32 = 1024;
+
+/// Largest `tb-entries` accepted (512× the 11/780's TB), for the same
+/// reason.
+pub const MAX_TB_ENTRIES: u32 = 65_536;
+
+/// Largest `write-buffer` depth accepted; the buffer is reserved whole.
+pub const MAX_WRITE_BUFFER: u32 = 1024;
+
 /// One simulation request: workload × configuration × fault plan × seed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSpec {
@@ -202,9 +219,29 @@ impl JobSpec {
 
     /// Cheap structural validation beyond what [`parse`](JobSpec::parse)
     /// enforces: the memory-geometry overrides must describe a buildable
-    /// cache/TB, so an impossible job is rejected at enqueue time
-    /// instead of panicking in a worker.
+    /// cache/TB, and the fault plan and the geometry must stay within
+    /// [`MAX_FAULTS_PER_JOB`], [`MAX_CACHE_KB`], [`MAX_TB_ENTRIES`] and
+    /// [`MAX_WRITE_BUFFER`], so an impossible or memory-exhausting job is
+    /// rejected at enqueue time instead of failing in a worker.
     pub fn validate(&self) -> Result<(), String> {
+        let faults = self.faults.len() as u64 * u64::from(self.fault_count);
+        if faults > MAX_FAULTS_PER_JOB {
+            return Err(format!(
+                "fault-count: {} class(es) x {} faults exceeds the per-job bound of {MAX_FAULTS_PER_JOB}",
+                self.faults.len(),
+                self.fault_count
+            ));
+        }
+        let bounds = [
+            ("cache-kb", self.cache_kb, MAX_CACHE_KB),
+            ("tb-entries", self.tb_entries, MAX_TB_ENTRIES),
+            ("write-buffer", self.write_buffer, MAX_WRITE_BUFFER),
+        ];
+        for (key, value, max) in bounds {
+            if let Some(v) = value.filter(|&v| v > max) {
+                return Err(format!("{key}: {v} exceeds the bound of {max}"));
+            }
+        }
         let mem = self.mem_config();
         // Mirror MemConfig::validate's asserts, reported as errors.
         let c = mem.cache;
@@ -361,6 +398,39 @@ mod tests {
         spec.cache_kb = None;
         spec.write_buffer = Some(0);
         assert!(spec.validate().is_err());
+    }
+
+    #[test]
+    fn validate_bounds_the_fault_plan_and_the_geometry() {
+        let line = "workload=commercial faults=cache-parity fault-count=4294967295";
+        let spec = JobSpec::parse(line).expect("parses");
+        let err = spec.validate().expect_err("unbounded fault-count accepted");
+        assert!(err.contains("fault-count"), "{err}");
+
+        let mut spec = JobSpec::new(WorkloadKind::Commercial);
+        spec.faults = vec![FaultClass::CacheParity, FaultClass::SbiTimeout];
+        spec.fault_count = (MAX_FAULTS_PER_JOB / 2) as u32;
+        assert!(spec.validate().is_ok(), "at the bound");
+        assert_eq!(
+            spec.fault_plan().expect("plan").render().lines().count() as u64,
+            MAX_FAULTS_PER_JOB + 1,
+            "header plus one line per fault"
+        );
+        spec.fault_count += 1;
+        assert!(spec.validate().is_err(), "past the bound");
+
+        for line in [
+            "workload=commercial cache-kb=2097152",
+            "workload=commercial tb-entries=2147483648",
+            "workload=commercial write-buffer=4294967295",
+        ] {
+            let spec = JobSpec::parse(line).expect("parses");
+            assert!(spec.validate().is_err(), "{line}");
+        }
+        let spec =
+            JobSpec::parse("workload=commercial cache-kb=1024 tb-entries=65536 write-buffer=1024")
+                .expect("parses");
+        assert!(spec.validate().is_ok(), "{:?}", spec.validate());
     }
 
     #[test]

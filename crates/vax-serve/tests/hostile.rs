@@ -1,7 +1,10 @@
 //! Hostile input: every reader of a checkpoint, a queue journal (tail
 //! and snapshot) or a `vax-job-result v1` blob returns `Ok` or `Err` —
 //! it never panics — on arbitrary bytes, on any truncation of a valid
-//! file, and on any single-byte flip of one.
+//! file, and on any single-byte flip of one. `JobSpec::parse` and
+//! `validate` hold the same line on arbitrary strings and on mangled
+//! canonical lines, and every spec they accept stays buildable within
+//! the per-job bounds.
 
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -11,6 +14,7 @@ use upc_monitor::Histogram;
 use vax780_core::{Checkpoint, MeasuredWorkload};
 use vax_mem::HwCounters;
 use vax_serve::queue::{parse_result_blob, render_result_blob};
+use vax_serve::spec::{MAX_CACHE_KB, MAX_FAULTS_PER_JOB, MAX_TB_ENTRIES, MAX_WRITE_BUFFER};
 use vax_serve::{JobSpec, Journal};
 use vax_ucode::MicroAddr;
 use vax_workloads::WorkloadKind;
@@ -214,6 +218,181 @@ fn overflowing_counts_and_ids_are_errors() {
           enqueue 18446744073709551615 workload=sci-eng\n",
     );
     open_tail(b"vax-queue-journal v2 generation 0 next 18446744073709551615\n");
+}
+
+/// Canonical spec lines to mangle: a bare job, a sweep point, and a
+/// fault job at its most verbose.
+const CANONICAL: [&str; 3] = [
+    "workload=educational instructions=1000 warmup=1000",
+    "workload=sci-eng instructions=4000 warmup=1000 seed=42 tier=naive decode-overlap=1 \
+     cache-kb=4 cache-ways=2 tb-entries=64 write-buffer=4",
+    "workload=commercial instructions=500000 warmup=5000 seed=3 faults=cache-parity+sbi-timeout \
+     fault-seed=780 fault-count=2 fault-window=50000",
+];
+
+/// Values a mangled number may become: the edges of every field width.
+const EDGE_NUMBERS: [&str; 7] = [
+    "0",
+    "1",
+    "2048",
+    "65537",
+    "4294967295",
+    "4294967296",
+    "18446744073709551615",
+];
+
+/// Every key `JobSpec::parse` knows, plus near misses.
+const SPEC_KEYS: [&str; 17] = [
+    "workload",
+    "instructions",
+    "warmup",
+    "seed",
+    "tier",
+    "decode-overlap",
+    "cache-kb",
+    "cache-ways",
+    "tb-entries",
+    "write-buffer",
+    "faults",
+    "fault-seed",
+    "fault-count",
+    "fault-window",
+    "Workload",
+    "",
+    "fault_count",
+];
+
+/// Values valid for some key, edge numbers, and junk.
+const SPEC_VALUES: [&str; 20] = [
+    "commercial",
+    "sci-eng",
+    "naive",
+    "fast",
+    "block",
+    "cache-parity",
+    "cache-parity+sbi-timeout+tb-corrupt",
+    "cache-parity+",
+    "0",
+    "1",
+    "3",
+    "4",
+    "64",
+    "1024",
+    "2049",
+    "4294967295",
+    "18446744073709551615",
+    "-1",
+    "",
+    "=",
+];
+
+/// Parse and validate `line`; it may be rejected, but must not panic,
+/// and an accepted spec must build its fault plan and experiment within
+/// the per-job bounds.
+fn check_spec_line(line: &str) {
+    let Ok(spec) = JobSpec::parse(line) else {
+        return;
+    };
+    if spec.validate().is_err() {
+        return;
+    }
+    let planned = spec.fault_plan().map_or(0, |plan| plan.faults.len());
+    assert!(
+        planned as u64 <= MAX_FAULTS_PER_JOB,
+        "{line}: {planned} faults"
+    );
+    let mem = spec.mem_config();
+    mem.validate();
+    assert!(mem.cache.size_bytes <= MAX_CACHE_KB * 1024, "{line}");
+    assert!(mem.tb.entries <= MAX_TB_ENTRIES, "{line}");
+    assert!(mem.write_buffer_entries <= MAX_WRITE_BUFFER, "{line}");
+    let _ = spec.experiment();
+}
+
+#[test]
+fn canonical_lines_are_accepted() {
+    for line in CANONICAL {
+        let spec = JobSpec::parse(line).unwrap();
+        spec.validate().unwrap();
+        assert_eq!(spec.render(), line);
+    }
+}
+
+/// Replace the `nth` decimal digit run of `line` (wrapping) with `with`.
+fn replace_number(line: &str, nth: usize, with: &str) -> String {
+    let runs: Vec<(usize, usize)> = line
+        .char_indices()
+        .filter(|&(i, c)| {
+            c.is_ascii_digit() && (i == 0 || !line.as_bytes()[i - 1].is_ascii_digit())
+        })
+        .map(|(start, _)| {
+            let len = line[start..]
+                .find(|c: char| !c.is_ascii_digit())
+                .unwrap_or(line.len() - start);
+            (start, start + len)
+        })
+        .collect();
+    let (start, end) = runs[nth % runs.len()];
+    format!("{}{with}{}", &line[..start], &line[end..])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(500))]
+
+    #[test]
+    fn arbitrary_spec_lines_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..200)) {
+        check_spec_line(&String::from_utf8_lossy(&bytes));
+        // Behind a valid workload, the bytes reach every key's parser.
+        check_spec_line(&format!("workload=commercial {}", String::from_utf8_lossy(&bytes)));
+    }
+
+    #[test]
+    fn random_key_value_lines_never_panic(
+        pairs in prop::collection::vec(
+            (prop::sample::select(SPEC_KEYS.to_vec()), prop::sample::select(SPEC_VALUES.to_vec())),
+            0..8,
+        ),
+    ) {
+        let line: Vec<String> = pairs.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        check_spec_line(&line.join(" "));
+        check_spec_line(&format!("workload=educational {}", line.join(" ")));
+    }
+
+    #[test]
+    fn mangled_spec_lines_never_panic(
+        which in 0usize..3,
+        at: usize,
+        other: usize,
+        digit in 0u8..10,
+        edge in 0usize..7,
+    ) {
+        let tokens: Vec<&str> = CANONICAL[which].split_whitespace().collect();
+        let i = at % tokens.len();
+        // Token drop.
+        let mut dropped = tokens.clone();
+        dropped.remove(i);
+        check_spec_line(&dropped.join(" "));
+        // Token duplication (a repeated key is an error), and a token
+        // copied from another line.
+        let mut doubled = tokens.clone();
+        doubled.insert(other % (tokens.len() + 1), tokens[i]);
+        check_spec_line(&doubled.join(" "));
+        let foreign: Vec<&str> = CANONICAL[(which + 1) % 3].split_whitespace().collect();
+        let mut grafted = tokens.clone();
+        grafted[i] = foreign[other % foreign.len()];
+        check_spec_line(&grafted.join(" "));
+        // Digit flips: one digit, and a whole number set to a field edge.
+        let line = CANONICAL[which];
+        let digits: Vec<usize> = line
+            .char_indices()
+            .filter(|(_, c)| c.is_ascii_digit())
+            .map(|(i, _)| i)
+            .collect();
+        let d = digits[at % digits.len()];
+        let flipped = format!("{}{}{}", &line[..d], digit, &line[d + 1..]);
+        check_spec_line(&flipped);
+        check_spec_line(&replace_number(line, other, EDGE_NUMBERS[edge]));
+    }
 }
 
 proptest! {

@@ -36,6 +36,7 @@ pub use mix::{MixWeights, ModeWeights, ProfileParams};
 pub use profiles::{profile, WorkloadKind};
 pub use rte::{RteConfig, RteSource};
 pub use session::{
-    build_machine, build_machine_with_config, plan_processes, try_build_machine,
-    try_build_machine_with_config, Machine, ProcessImage, USER_STACK_BYTES, USER_STACK_PAGES,
+    build_machine, build_machine_with_config, code_memo_len, plan_processes, process_code,
+    try_build_machine, try_build_machine_with_config, Machine, ProcessCode, ProcessImage,
+    CODE_MEMO_CAPACITY, USER_STACK_BYTES, USER_STACK_PAGES,
 };

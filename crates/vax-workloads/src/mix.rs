@@ -134,7 +134,7 @@ impl ModeWeights {
 }
 
 /// Everything the session builder needs to construct one workload.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProfileParams {
     /// Human-readable name (report labels).
     pub name: &'static str,

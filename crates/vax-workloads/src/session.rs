@@ -14,6 +14,8 @@ use crate::process;
 use crate::rte::{RteConfig, RteSource};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use upc_monitor::CycleSink;
 use vax_arch::Assembler;
 use vax_cpu::{Cpu, CpuConfig, CpuError, Interrupt, Psl, StepOutcome};
@@ -193,9 +195,112 @@ pub struct ProcessImage {
     pub functions: Vec<u32>,
 }
 
+/// One process's generated code: the part of a [`ProcessImage`] that
+/// depends only on the [`ProfileParams`] (codegen draws from its own
+/// per-process RNG, never from the stream the data images and the
+/// kernel share), so one copy serves every machine built from the same
+/// parameters.
+#[derive(Debug)]
+pub struct ProcessCode {
+    /// Assembled user code.
+    pub image: vax_arch::CodeImage,
+    /// Data-region layout the code was generated against.
+    pub layout: DataLayout,
+    /// User-mode entry PC (the dispatcher).
+    pub entry: u32,
+    /// Function addresses (each starts with a 2-byte entry mask), in
+    /// function-table order.
+    pub functions: Vec<u32>,
+}
+
+/// Most parameter sets whose code [`process_code`] keeps at once. A
+/// built-in profile's code is 30–55 KB, so a full memo holds at most
+/// about 3.5 MB; the oldest entry is dropped first.
+pub const CODE_MEMO_CAPACITY: usize = 64;
+
+/// (parameters, code) pairs, oldest first.
+type CodeMemo = VecDeque<(ProfileParams, Arc<[ProcessCode]>)>;
+
+/// The process-wide code memo.
+static CODE_MEMO: Mutex<CodeMemo> = Mutex::new(VecDeque::new());
+
+fn code_memo() -> MutexGuard<'static, CodeMemo> {
+    // The lock only guards lookups and inserts, which cannot leave the
+    // memo half-updated, so a poisoned lock is still sound.
+    CODE_MEMO.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn memo_lookup(memo: &CodeMemo, params: &ProfileParams) -> Option<Arc<[ProcessCode]>> {
+    memo.iter()
+        .find(|(p, _)| p == params)
+        .map(|(_, code)| Arc::clone(code))
+}
+
+/// Entries resident in the code memo (at most [`CODE_MEMO_CAPACITY`]).
+pub fn code_memo_len() -> usize {
+    code_memo().len()
+}
+
+/// Every process's generated code for a profile, shared through a
+/// process-wide memo keyed on the whole [`ProfileParams`]: while an
+/// entry is resident, codegen for those parameters does not run again.
+/// The memo's lock is held for the lookup and the insert only, never
+/// during codegen, so builds of different profiles generate in
+/// parallel. Errors are not memoized.
+///
+/// # Errors
+///
+/// [`WorkloadError::Params`] for out-of-range parameters and
+/// [`WorkloadError::Codegen`] when generation or assembly fails.
+pub fn process_code(params: &ProfileParams) -> Result<Arc<[ProcessCode]>, WorkloadError> {
+    params.check()?;
+    if let Some(code) = memo_lookup(&code_memo(), params) {
+        return Ok(code);
+    }
+    let code = (0..params.processes)
+        .map(|i| generate_process(params, i))
+        .collect::<Result<Arc<[ProcessCode]>, WorkloadError>>()?;
+    let mut memo = code_memo();
+    // A concurrent build of the same parameters may have inserted while
+    // this one generated: share its copy rather than hold two.
+    if let Some(resident) = memo_lookup(&memo, params) {
+        return Ok(resident);
+    }
+    if memo.len() == CODE_MEMO_CAPACITY {
+        memo.pop_front();
+    }
+    memo.push_back((params.clone(), Arc::clone(&code)));
+    Ok(code)
+}
+
+/// Generate and assemble process `i`'s program.
+fn generate_process(params: &ProfileParams, i: u32) -> Result<ProcessCode, WorkloadError> {
+    let layout_base = PAGE_BYTES; // page 0 reserved
+    let layout = DataLayout::for_profile(params, layout_base);
+    let code_base = (layout_base + layout.total_len + 15) & !15;
+    let mut asm = Assembler::new(code_base);
+    let gen_rng = StdRng::seed_from_u64(params.seed ^ (0x9E37_79B9 * u64::from(i + 1)));
+    let mut generator = CodeGen::new(&mut asm, gen_rng, params, layout);
+    let codegen_err = |source| WorkloadError::Codegen {
+        profile: params.name,
+        process: i,
+        source,
+    };
+    let prog = generator.generate().map_err(codegen_err)?;
+    let image = asm.finish().map_err(codegen_err)?;
+    Ok(ProcessCode {
+        image,
+        layout,
+        entry: prog.entry,
+        functions: prog.functions,
+    })
+}
+
 /// Generate every process image for a profile — the pure-codegen half of
 /// machine construction, exposed so static analysis (`vax-lint`) can
 /// inspect exactly the code a machine would run without building one.
+/// The code comes from [`process_code`]'s memo; the data images are
+/// built fresh.
 ///
 /// Deterministic in `params.seed`.
 ///
@@ -204,43 +309,29 @@ pub struct ProcessImage {
 /// [`WorkloadError::Params`] for out-of-range parameters and
 /// [`WorkloadError::Codegen`] when generation or assembly fails.
 pub fn plan_processes(params: &ProfileParams) -> Result<Vec<ProcessImage>, WorkloadError> {
-    let mut rng = StdRng::seed_from_u64(params.seed);
-    plan_processes_with(params, &mut rng)
+    let code = process_code(params)?;
+    let data = data_images(&code, params, &mut StdRng::seed_from_u64(params.seed));
+    Ok(code
+        .iter()
+        .zip(data)
+        .map(|(c, data)| ProcessImage {
+            image: c.image.clone(),
+            layout: c.layout,
+            data,
+            entry: c.entry,
+            functions: c.functions.clone(),
+        })
+        .collect())
 }
 
-/// As [`plan_processes`], continuing an existing RNG stream (the kernel
-/// builder consumes the same stream right after the data images, so the
-/// split must not reseed in between).
-fn plan_processes_with(
-    params: &ProfileParams,
-    rng: &mut StdRng,
-) -> Result<Vec<ProcessImage>, WorkloadError> {
-    params.check()?;
-    let mut plans = Vec::with_capacity(params.processes as usize);
-    for i in 0..params.processes {
-        let layout_base = PAGE_BYTES; // page 0 reserved
-        let layout = DataLayout::for_profile(params, layout_base);
-        let code_base = (layout_base + layout.total_len + 15) & !15;
-        let mut asm = Assembler::new(code_base);
-        let gen_rng = StdRng::seed_from_u64(params.seed ^ (0x9E37_79B9 * u64::from(i + 1)));
-        let mut generator = CodeGen::new(&mut asm, gen_rng, params, layout);
-        let codegen_err = |source| WorkloadError::Codegen {
-            profile: params.name,
-            process: i,
-            source,
-        };
-        let prog = generator.generate().map_err(codegen_err)?;
-        let image = asm.finish().map_err(codegen_err)?;
-        let data = process::build_data_image(&layout, params, rng, &prog.functions);
-        plans.push(ProcessImage {
-            image,
-            layout,
-            data,
-            entry: prog.entry,
-            functions: prog.functions,
-        });
-    }
-    Ok(plans)
+/// Each process's initial data image, in process order, drawn from the
+/// build's RNG stream (the kernel builder continues the same stream
+/// right after, so the split must not reseed in between). Codegen never
+/// draws from it: the data images are its first consumer.
+fn data_images(code: &[ProcessCode], params: &ProfileParams, rng: &mut StdRng) -> Vec<Vec<u8>> {
+    code.iter()
+        .map(|c| process::build_data_image(&c.layout, params, rng, &c.functions))
+        .collect()
 }
 
 /// Build a machine for the given workload profile.
@@ -287,8 +378,9 @@ pub fn try_build_machine_with_config(
     cpu_config: CpuConfig,
     mem_config: MemConfig,
 ) -> Result<Machine, WorkloadError> {
+    let code = process_code(params)?;
     let mut rng = StdRng::seed_from_u64(params.seed);
-    let plans = plan_processes_with(params, &mut rng)?;
+    let data = data_images(&code, params, &mut rng);
     let mut mem = MemorySubsystem::new(mem_config);
     let mut mb = MapBuilder::new(mem.phys(), 8192);
 
@@ -322,8 +414,8 @@ pub fn try_build_machine_with_config(
 
     // ----- processes ----------------------------------------------------------
     let p1_pages = USER_STACK_PAGES + KERNEL_STACK_PAGES;
-    let mut spaces = Vec::with_capacity(plans.len());
-    for plan in &plans {
+    let mut spaces = Vec::with_capacity(code.len());
+    for plan in code.iter() {
         let p0_pages = plan.image.end().div_ceil(PAGE_BYTES) + 2;
         let space = mb.create_process(mem.phys_mut(), p0_pages, p1_pages);
         spaces.push(space);
@@ -349,15 +441,9 @@ pub fn try_build_machine_with_config(
     }
 
     // Load process images, stacks, PCBs.
-    for (i, plan) in plans.iter().enumerate() {
+    for (i, (plan, data)) in code.iter().zip(&data).enumerate() {
         let space = spaces[i];
-        load_virtual(
-            mem.phys_mut(),
-            &system,
-            &space,
-            plan.layout.base,
-            &plan.data,
-        );
+        load_virtual(mem.phys_mut(), &system, &space, plan.layout.base, data);
         load_virtual(
             mem.phys_mut(),
             &system,
