@@ -149,6 +149,30 @@ sed -n 's/.*"digest":"\([0-9a-f]*\)".*/\1/p' "$CKPT_DIR/sweep.jsonl" \
 diff "$CKPT_DIR/cold-digests.txt" "$CKPT_DIR/sweep-digests.txt"
 test "$(sort -u "$CKPT_DIR/sweep-digests.txt" | wc -l)" -eq 4
 
+# Interleaved sweep: a second educational seed alternates with seed 11
+# point by point in one `drain --serial` process, so every memoized
+# image is mounted right after a job on the other image. Each digest
+# must still equal that of a cold single-job process, and the eight
+# jobs must differ.
+SWEEP2="workload=educational instructions=20000 warmup=5000 seed=12"
+N=0
+for point in "" " cache-kb=4" " tb-entries=64" " write-buffer=4"; do
+    N=$((N + 1))
+    "$VAX780" enqueue --queue "$CKPT_DIR/interleaved.journal" --spec "$SWEEP$point"
+    "$VAX780" enqueue --queue "$CKPT_DIR/interleaved.journal" --spec "$SWEEP2$point"
+    "$VAX780" enqueue --queue "$CKPT_DIR/cold2-$N.journal" --spec "$SWEEP2$point"
+    "$VAX780" drain --queue "$CKPT_DIR/cold2-$N.journal" --serial \
+        --out "$CKPT_DIR/cold2-$N.jsonl"
+    sed -n 's/.*"digest":"\([0-9a-f]*\)".*/\1/p' "$CKPT_DIR/cold$N.jsonl" \
+        "$CKPT_DIR/cold2-$N.jsonl" >> "$CKPT_DIR/interleaved-cold.txt"
+done
+"$VAX780" drain --queue "$CKPT_DIR/interleaved.journal" --serial \
+    --out "$CKPT_DIR/interleaved.jsonl"
+sed -n 's/.*"digest":"\([0-9a-f]*\)".*/\1/p' "$CKPT_DIR/interleaved.jsonl" \
+    > "$CKPT_DIR/interleaved-digests.txt"
+diff "$CKPT_DIR/interleaved-cold.txt" "$CKPT_DIR/interleaved-digests.txt"
+test "$(sort -u "$CKPT_DIR/interleaved-digests.txt" | wc -l)" -eq 8
+
 # Self-characterization gate: the full probe campaign — every opcode x
 # addressing-mode pair the five profiles execute, plus the per-mode
 # reference carriers — must measure, reconcile all three instruments

@@ -47,7 +47,7 @@ pub use paging::{
     load_virtual, pte_location, resolve_va, AddressSpace, MapBuilder, Pte, PteLocation, Region,
     SystemMap, P1_BASE, PAGE_BYTES, PAGE_SHIFT, S0_BASE,
 };
-pub use phys::PhysMem;
+pub use phys::{image_bytes, HostPage, PhysImage, PhysMem, HOST_PAGE_BYTES};
 pub use sbi::Sbi;
 pub use subsystem::{
     IFetchOutcome, MemFault, MemorySubsystem, ReadOutcome, Stream, TbFill, TbMiss, Width,

@@ -25,7 +25,7 @@ use crate::spec::JobSpec;
 use crate::wire::{Conn, Endpoint};
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -415,14 +415,39 @@ fn worker_loop(shared: &Shared, executor: &dyn Executor, index: usize) {
     }
 }
 
+/// Longest request line a connection may send, newline excluded. The
+/// longest valid request — `enqueue`, a 64-byte `client=` name and the
+/// longest spec that passes [`JobSpec::validate`] — is under 512 bytes,
+/// so this leaves ample room; a longer line is rejected and the
+/// connection closed.
+pub const MAX_REQUEST_BYTES: usize = 4096;
+
 fn handle_conn(shared: &Shared, conn: Conn) {
     let Ok((mut reader, mut writer)) = conn.split() else {
         return;
     };
-    let mut line = String::new();
-    if reader.read_line(&mut line).is_err() {
+    // Read at most one byte past the bound, so a client that never
+    // sends a newline costs the server a bounded buffer.
+    let mut line = Vec::new();
+    let limit = MAX_REQUEST_BYTES as u64 + 1;
+    if (&mut reader)
+        .take(limit)
+        .read_until(b'\n', &mut line)
+        .is_err()
+    {
         return;
     }
+    if line.strip_suffix(b"\n").unwrap_or(&line).len() > MAX_REQUEST_BYTES {
+        let _ = writeln!(
+            writer,
+            "reject request too long (more than {MAX_REQUEST_BYTES} bytes before the newline)"
+        );
+        let _ = writer.flush();
+        return;
+    }
+    let Ok(line) = String::from_utf8(line) else {
+        return;
+    };
     let request = line.trim();
     let (verb, rest) = match request.split_once(' ') {
         Some((v, r)) => (v, r.trim()),

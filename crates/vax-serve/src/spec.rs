@@ -219,7 +219,9 @@ impl JobSpec {
 
     /// Cheap structural validation beyond what [`parse`](JobSpec::parse)
     /// enforces: the memory-geometry overrides must describe a buildable
-    /// cache/TB, and the fault plan and the geometry must stay within
+    /// cache/TB, no fault class may be listed twice (so a valid spec's
+    /// line has a fixed maximum length), and the fault plan and the
+    /// geometry must stay within
     /// [`MAX_FAULTS_PER_JOB`], [`MAX_CACHE_KB`], [`MAX_TB_ENTRIES`] and
     /// [`MAX_WRITE_BUFFER`], so an impossible or memory-exhausting job is
     /// rejected at enqueue time instead of failing in a worker.
@@ -231,6 +233,11 @@ impl JobSpec {
                 self.faults.len(),
                 self.fault_count
             ));
+        }
+        for (i, class) in self.faults.iter().enumerate() {
+            if self.faults[..i].contains(class) {
+                return Err(format!("faults: {} listed twice", class.name()));
+            }
         }
         let bounds = [
             ("cache-kb", self.cache_kb, MAX_CACHE_KB),
@@ -398,6 +405,40 @@ mod tests {
         spec.cache_kb = None;
         spec.write_buffer = Some(0);
         assert!(spec.validate().is_err());
+    }
+
+    #[test]
+    fn every_valid_request_fits_the_request_bound() {
+        // Every numeric field at its widest and every fault class once
+        // (validate refuses a class listed twice): no valid spec renders
+        // longer.
+        let mut doubled = JobSpec::new(WorkloadKind::Commercial);
+        doubled.faults = vec![FaultClass::CacheParity, FaultClass::CacheParity];
+        let err = doubled.validate().expect_err("a class listed twice");
+        assert!(err.contains("listed twice"), "{err}");
+        let widest = WorkloadKind::ALL
+            .into_iter()
+            .max_by_key(|k| k.name().len())
+            .expect("workloads");
+        let spec = JobSpec {
+            workload: widest,
+            instructions: u64::MAX,
+            warmup: u64::MAX,
+            seed: Some(u64::MAX),
+            tier: Tier::Naive,
+            decode_overlap: true,
+            cache_kb: Some(u32::MAX),
+            cache_ways: Some(u32::MAX),
+            tb_entries: Some(u32::MAX),
+            write_buffer: Some(u32::MAX),
+            faults: FaultClass::ALL.to_vec(),
+            fault_seed: u64::MAX,
+            fault_count: u32::MAX,
+            fault_window: Some(u64::MAX),
+        };
+        let request = format!("enqueue client={} {}", "c".repeat(64), spec.render());
+        assert!(request.len() < 512, "{} bytes: {request}", request.len());
+        assert!(request.len() * 8 <= crate::server::MAX_REQUEST_BYTES);
     }
 
     #[test]

@@ -4,18 +4,24 @@
 //! file, and on any single-byte flip of one. `JobSpec::parse` and
 //! `validate` hold the same line on arbitrary strings and on mangled
 //! canonical lines, and every spec they accept stays buildable within
-//! the per-job bounds.
+//! the per-job bounds and renders far inside the request-line bound. A
+//! real connection that sends an overlong request line is rejected and
+//! closed.
 
 use proptest::prelude::*;
+use std::io::{ErrorKind, Read, Write};
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 use upc_monitor::Histogram;
 use vax780_core::{Checkpoint, MeasuredWorkload};
 use vax_mem::HwCounters;
 use vax_serve::queue::{parse_result_blob, render_result_blob};
+use vax_serve::server::MAX_REQUEST_BYTES;
 use vax_serve::spec::{MAX_CACHE_KB, MAX_FAULTS_PER_JOB, MAX_TB_ENTRIES, MAX_WRITE_BUFFER};
-use vax_serve::{JobSpec, Journal};
+use vax_serve::{run_server, Client, Endpoint, InProcessExecutor, JobSpec, Journal, ServeConfig};
 use vax_ucode::MicroAddr;
 use vax_workloads::WorkloadKind;
 
@@ -306,6 +312,7 @@ fn check_spec_line(line: &str) {
     assert!(mem.cache.size_bytes <= MAX_CACHE_KB * 1024, "{line}");
     assert!(mem.tb.entries <= MAX_TB_ENTRIES, "{line}");
     assert!(mem.write_buffer_entries <= MAX_WRITE_BUFFER, "{line}");
+    assert!(spec.render().len() < MAX_REQUEST_BYTES / 8, "{line}");
     let _ = spec.experiment();
 }
 
@@ -432,4 +439,74 @@ proptest! {
             file
         });
     }
+}
+
+/// A request line longer than `MAX_REQUEST_BYTES`, sent over a real
+/// socket, gets one reject and a closed connection: the server reads at
+/// most one byte past the bound however long the line runs, and goes on
+/// serving other clients.
+#[test]
+fn an_overlong_request_line_is_rejected_and_closed() {
+    let dir = TempDir::new();
+    let sock = dir.join("s.sock");
+    let endpoint = Endpoint::Unix(sock.clone());
+    let config = ServeConfig {
+        journal: dir.join("queue.journal"),
+        workers: 0,
+        ..ServeConfig::default()
+    };
+    let server = std::thread::spawn({
+        let endpoint = endpoint.clone();
+        move || run_server(&config, Some(&endpoint), Arc::new(InProcessExecutor))
+    });
+    let client = Client::new(endpoint, Duration::from_secs(5));
+    // The first request also waits out the server's start-up.
+    assert!(client.request_line("status").is_ok());
+
+    let reply = |bytes: &[u8]| {
+        let mut conn = UnixStream::connect(&sock).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        conn.write_all(bytes).unwrap();
+        let mut out = String::new();
+        conn.read_to_string(&mut out).unwrap();
+        out
+    };
+    // At the bound, the line is read whole and answered.
+    let mut at_bound = vec![b'x'; MAX_REQUEST_BYTES];
+    at_bound.push(b'\n');
+    let answer = reply(&at_bound);
+    assert!(answer.starts_with("reject unknown request"), "{answer:.80}");
+    // One byte past it, no newline yet: rejected, then end of stream.
+    let answer = reply(&vec![b'x'; MAX_REQUEST_BYTES + 1]);
+    assert!(answer.starts_with("reject request too long"), "{answer}");
+    assert_eq!(answer.lines().count(), 1, "{answer}");
+
+    // A client that never sends a newline: the server stops reading and
+    // closes, so the stream breaks long before 64 MiB.
+    let mut conn = UnixStream::connect(&sock).unwrap();
+    conn.set_write_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let chunk = vec![b'x'; 64 * 1024];
+    let mut sent = 0usize;
+    let broke = loop {
+        if let Err(e) = conn.write_all(&chunk) {
+            break e;
+        }
+        sent += chunk.len();
+        assert!(
+            sent < 64 << 20,
+            "the server kept reading a line with no newline"
+        );
+    };
+    assert!(
+        matches!(
+            broke.kind(),
+            ErrorKind::BrokenPipe | ErrorKind::ConnectionReset
+        ),
+        "the server neither read nor closed: {broke}"
+    );
+
+    assert!(client.request_line("status").is_ok(), "still serving");
+    assert_eq!(client.request_line("shutdown").unwrap(), "ok");
+    server.join().unwrap().expect("clean shutdown");
 }

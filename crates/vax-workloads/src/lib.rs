@@ -25,6 +25,7 @@
 pub mod codegen;
 pub mod error;
 pub mod kernel;
+mod memo;
 pub mod mix;
 pub mod process;
 pub mod profiles;
@@ -36,7 +37,8 @@ pub use mix::{MixWeights, ModeWeights, ProfileParams};
 pub use profiles::{profile, WorkloadKind};
 pub use rte::{RteConfig, RteSource};
 pub use session::{
-    build_machine, build_machine_with_config, code_memo_len, plan_processes, process_code,
-    try_build_machine, try_build_machine_with_config, Machine, ProcessCode, ProcessImage,
-    CODE_MEMO_CAPACITY, USER_STACK_BYTES, USER_STACK_PAGES,
+    build_machine, build_machine_with_config, code_memo_len, image_memo_bytes, machine_image,
+    plan_processes, process_code, try_build_machine, try_build_machine_with_config, Machine,
+    MachineImage, ProcessCode, ProcessImage, CODE_MEMO_CAPACITY, IMAGE_MEMO_MIB, USER_STACK_BYTES,
+    USER_STACK_PAGES,
 };

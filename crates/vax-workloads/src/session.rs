@@ -9,17 +9,20 @@
 use crate::codegen::{CodeGen, DataLayout};
 use crate::error::WorkloadError;
 use crate::kernel::{self, KernelImage};
+use crate::memo::Memo;
 use crate::mix::ProfileParams;
 use crate::process;
 use crate::rte::{RteConfig, RteSource};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use upc_monitor::CycleSink;
 use vax_arch::Assembler;
 use vax_cpu::{Cpu, CpuConfig, CpuError, Interrupt, Psl, StepOutcome};
-use vax_mem::{load_virtual, AddressSpace, MapBuilder, MemConfig, MemorySubsystem, PAGE_BYTES};
+use vax_mem::{
+    image_bytes, load_virtual, AddressSpace, MapBuilder, MemConfig, MemorySubsystem, PhysImage,
+    PhysMem, SystemMap, PAGE_BYTES,
+};
 
 /// Interval-timer interrupt: IPL 24, SCB vector 0xC0 (the 11/780 clock).
 const TIMER_IPL: u8 = 24;
@@ -218,35 +221,20 @@ pub struct ProcessCode {
 /// about 3.5 MB; the oldest entry is dropped first.
 pub const CODE_MEMO_CAPACITY: usize = 64;
 
-/// (parameters, code) pairs, oldest first.
-type CodeMemo = VecDeque<(ProfileParams, Arc<[ProcessCode]>)>;
-
-/// The process-wide code memo.
-static CODE_MEMO: Mutex<CodeMemo> = Mutex::new(VecDeque::new());
-
-fn code_memo() -> MutexGuard<'static, CodeMemo> {
-    // The lock only guards lookups and inserts, which cannot leave the
-    // memo half-updated, so a poisoned lock is still sound.
-    CODE_MEMO.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn memo_lookup(memo: &CodeMemo, params: &ProfileParams) -> Option<Arc<[ProcessCode]>> {
-    memo.iter()
-        .find(|(p, _)| p == params)
-        .map(|(_, code)| Arc::clone(code))
-}
+/// The process-wide code memo: every entry weighs one.
+static CODE_MEMO: Memo<ProfileParams, Arc<[ProcessCode]>> = Memo::new(CODE_MEMO_CAPACITY, |_| 1);
 
 /// Entries resident in the code memo (at most [`CODE_MEMO_CAPACITY`]).
 pub fn code_memo_len() -> usize {
-    code_memo().len()
+    CODE_MEMO.len()
 }
 
 /// Every process's generated code for a profile, shared through a
 /// process-wide memo keyed on the whole [`ProfileParams`]: while an
-/// entry is resident, codegen for those parameters does not run again.
-/// The memo's lock is held for the lookup and the insert only, never
-/// during codegen, so builds of different profiles generate in
-/// parallel. Errors are not memoized.
+/// entry is resident, codegen for those parameters does not run again,
+/// and a build that asks while another generates the same parameters
+/// waits for that code instead of generating its own. Builds of
+/// different profiles generate in parallel. Errors are not memoized.
 ///
 /// # Errors
 ///
@@ -254,23 +242,11 @@ pub fn code_memo_len() -> usize {
 /// [`WorkloadError::Codegen`] when generation or assembly fails.
 pub fn process_code(params: &ProfileParams) -> Result<Arc<[ProcessCode]>, WorkloadError> {
     params.check()?;
-    if let Some(code) = memo_lookup(&code_memo(), params) {
-        return Ok(code);
-    }
-    let code = (0..params.processes)
-        .map(|i| generate_process(params, i))
-        .collect::<Result<Arc<[ProcessCode]>, WorkloadError>>()?;
-    let mut memo = code_memo();
-    // A concurrent build of the same parameters may have inserted while
-    // this one generated: share its copy rather than hold two.
-    if let Some(resident) = memo_lookup(&memo, params) {
-        return Ok(resident);
-    }
-    if memo.len() == CODE_MEMO_CAPACITY {
-        memo.pop_front();
-    }
-    memo.push_back((params.clone(), Arc::clone(&code)));
-    Ok(code)
+    CODE_MEMO.get_or_build(params.clone(), || {
+        (0..params.processes)
+            .map(|i| generate_process(params, i))
+            .collect()
+    })
 }
 
 /// Generate and assemble process `i`'s program.
@@ -367,7 +343,9 @@ pub fn try_build_machine(params: &ProfileParams) -> Result<Machine, WorkloadErro
     try_build_machine_with_config(params, CpuConfig::default(), MemConfig::default())
 }
 
-/// As [`try_build_machine`] with explicit CPU/memory configurations.
+/// As [`try_build_machine`] with explicit CPU/memory configurations:
+/// mounts the [`machine_image`] for the parameters and the memory size
+/// under a fresh CPU and memory subsystem built from the configurations.
 ///
 /// # Errors
 ///
@@ -378,11 +356,135 @@ pub fn try_build_machine_with_config(
     cpu_config: CpuConfig,
     mem_config: MemConfig,
 ) -> Result<Machine, WorkloadError> {
+    let image = machine_image(params, mem_config.phys_bytes)?;
+    let mut mem = MemorySubsystem::new(mem_config);
+    mem.phys_mut().mount(Arc::clone(&image.frames));
+    mem.set_system_map(image.system);
+
+    let mut cpu = Cpu::new(mem, cpu_config, image.boot_pc);
+    // The boot code's MTPRs install SCBB/PCBB architecturally; priming the
+    // interrupt stack pointer is legitimately machine setup.
+    let on_is = Psl {
+        interrupt_stack: true,
+        ..Psl::kernel_boot()
+    };
+    cpu.regs_mut().set_banked_sp(&on_is, image.istack_top);
+    // Give boot a kernel stack too (not used past the bootstrap).
+    cpu.regs_mut().set_sp(image.istack_top - 64);
+
+    let rte = RteSource::new(RteConfig {
+        users: params.terminal_users,
+        think_mean_cycles: params.think_mean_cycles,
+        burst_mean_keys: params.burst_mean_keys,
+        key_gap_cycles: params.key_gap_cycles,
+        seed: params.seed ^ 0xDEAD_BEEF,
+    });
+
+    Ok(Machine {
+        cpu,
+        name: params.name,
+        idle_pc: image.idle_pc,
+        timer_period: params.timer_period,
+        next_timer: params.timer_period,
+        dma_period: params.dma_period,
+        dma_burst: params.dma_burst,
+        next_dma: params.dma_period,
+        rte,
+        interrupts_posted: 0,
+    })
+}
+
+/// A workload machine's memory as boot finds it — kernel, page tables,
+/// PCBs, SCB, and every process's code, data and initial stack frame —
+/// with the few facts assembly needs to start a CPU on it. It depends
+/// only on the [`ProfileParams`] and the memory size, never on the CPU
+/// or memory configuration, so one image serves every point of a sweep.
+#[derive(Clone)]
+pub struct MachineImage {
+    /// Physical memory from address 0 through the last frame the build
+    /// allocated, in whole host pages; memory above it, and every page
+    /// the build never wrote, is zero.
+    frames: PhysImage,
+    /// Bytes of the pages held.
+    bytes: usize,
+    system: SystemMap,
+    boot_pc: u32,
+    idle_pc: u32,
+    istack_top: u32,
+}
+
+impl std::fmt::Debug for MachineImage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MachineImage")
+            .field("bytes", &self.bytes())
+            .field("system", &self.system)
+            .field("boot_pc", &self.boot_pc)
+            .finish_non_exhaustive()
+    }
+}
+
+impl MachineImage {
+    /// The image's host pages, shared by every machine that mounts it.
+    pub fn frames(&self) -> &PhysImage {
+        &self.frames
+    }
+
+    /// Bytes the image holds: the host pages the build wrote.
+    pub fn bytes(&self) -> usize {
+        self.bytes
+    }
+}
+
+/// Most memory the image memo holds, in MiB; the oldest image is dropped
+/// first. A paper profile's image holds 0.7–1.6 MiB of written pages and
+/// the five together 5.1 MiB, so a process that builds all five again
+/// (perfbench `interp-long`'s set-up rounds) shares them instead of
+/// rebuilding each while the old machines still hold theirs (at 4 MiB
+/// its peak RSS rose 15%), while a sweep over many (profile, seed) pairs
+/// keeps only a few resident (at 8 MiB `campaign-tiny`'s peak RSS
+/// sometimes passed the flat-memory build's).
+pub const IMAGE_MEMO_MIB: usize = 6;
+
+/// The process-wide image memo, keyed on (parameters, memory size) and
+/// weighed in bytes.
+static IMAGE_MEMO: Memo<(ProfileParams, u32), MachineImage> =
+    Memo::new(IMAGE_MEMO_MIB << 20, MachineImage::bytes);
+
+/// Bytes of image resident in the image memo (at most
+/// [`IMAGE_MEMO_MIB`] MiB).
+pub fn image_memo_bytes() -> usize {
+    IMAGE_MEMO.weight()
+}
+
+/// The machine image for a profile and a memory size, shared through a
+/// process-wide memo with the same discipline as [`process_code`]'s:
+/// while an entry is resident no build runs for it, and a caller asking
+/// while another builds it waits for that image. Machines mount it
+/// copy-on-write, so the memo's copy is the only one resident until a
+/// machine writes a page. Errors are not memoized.
+///
+/// # Errors
+///
+/// Any [`WorkloadError`] from parameter checking, process code
+/// generation, or the kernel builder.
+pub fn machine_image(
+    params: &ProfileParams,
+    phys_bytes: u32,
+) -> Result<MachineImage, WorkloadError> {
+    IMAGE_MEMO.get_or_build((params.clone(), phys_bytes), || {
+        build_image(params, phys_bytes)
+    })
+}
+
+/// Build a machine image cold: lay out physical memory, then load the
+/// kernel, the SCB vectors and every process's images, stack frame and
+/// PCB into it.
+fn build_image(params: &ProfileParams, phys_bytes: u32) -> Result<MachineImage, WorkloadError> {
     let code = process_code(params)?;
     let mut rng = StdRng::seed_from_u64(params.seed);
     let data = data_images(&code, params, &mut rng);
-    let mut mem = MemorySubsystem::new(mem_config);
-    let mut mb = MapBuilder::new(mem.phys(), 8192);
+    let mut phys = PhysMem::new(phys_bytes);
+    let mut mb = MapBuilder::new(&phys, 8192);
 
     // ----- physical allocations: SCB and PCBs ------------------------------
     let scb_pa = mb.alloc_frames(1) * PAGE_BYTES;
@@ -404,12 +506,12 @@ pub fn try_build_machine_with_config(
     let kcode_pages = (kernel_img.code.len() as u32).div_ceil(PAGE_BYTES) + 1;
 
     // ----- system mappings (order defines the fixed kernel VAs) -------------
-    let got_kdata = mb.map_system(mem.phys_mut(), kdata_pages);
+    let got_kdata = mb.map_system(&mut phys, kdata_pages);
     assert_eq!(got_kdata, kdata_va, "kernel data VA");
-    let got_kcode = mb.map_system(mem.phys_mut(), kcode_pages);
+    let got_kcode = mb.map_system(&mut phys, kcode_pages);
     assert_eq!(got_kcode, kcode_va, "kernel code VA");
     let istack_pages = 8;
-    let istack_base = mb.map_system(mem.phys_mut(), istack_pages);
+    let istack_base = mb.map_system(&mut phys, istack_pages);
     let istack_top = istack_base + istack_pages * PAGE_BYTES;
 
     // ----- processes ----------------------------------------------------------
@@ -417,35 +519,33 @@ pub fn try_build_machine_with_config(
     let mut spaces = Vec::with_capacity(code.len());
     for plan in code.iter() {
         let p0_pages = plan.image.end().div_ceil(PAGE_BYTES) + 2;
-        let space = mb.create_process(mem.phys_mut(), p0_pages, p1_pages);
+        let space = mb.create_process(&mut phys, p0_pages, p1_pages);
         spaces.push(space);
     }
     let system = mb.system_map();
-    mem.set_system_map(system);
 
     // Load kernel code and data (system space; any address space works).
     let empty = AddressSpace::empty();
     load_virtual(
-        mem.phys_mut(),
+        &mut phys,
         &system,
         &empty,
         kernel_img.code.base,
         &kernel_img.code.bytes,
     );
-    load_virtual(mem.phys_mut(), &system, &empty, kdata_va, &kernel_img.data);
+    load_virtual(&mut phys, &system, &empty, kdata_va, &kernel_img.data);
 
     // SCB vectors (physical).
     for &(vector, handler) in &kernel_img.vectors {
-        mem.phys_mut()
-            .write_u32(scb_pa + u32::from(vector), handler);
+        phys.write_u32(scb_pa + u32::from(vector), handler);
     }
 
     // Load process images, stacks, PCBs.
     for (i, (plan, data)) in code.iter().zip(&data).enumerate() {
         let space = spaces[i];
-        load_virtual(mem.phys_mut(), &system, &space, plan.layout.base, data);
+        load_virtual(&mut phys, &system, &space, plan.layout.base, data);
         load_virtual(
-            mem.phys_mut(),
+            &mut phys,
             &system,
             &space,
             plan.image.base,
@@ -458,43 +558,20 @@ pub fn try_build_machine_with_config(
         let mut frame = Vec::with_capacity(8);
         frame.extend_from_slice(&plan.entry.to_le_bytes());
         frame.extend_from_slice(&user_psl.to_u32().to_le_bytes());
-        load_virtual(mem.phys_mut(), &system, &space, ksp, &frame);
+        load_virtual(&mut phys, &system, &space, ksp, &frame);
         let usp = vax_mem::P1_BASE + USER_STACK_PAGES * PAGE_BYTES;
         let pcb = process::build_pcb(&space, ksp, usp);
-        mem.phys_mut().load(pcb_pas[i], &pcb);
+        phys.load(pcb_pas[i], &pcb);
     }
 
-    // ----- CPU -----------------------------------------------------------------
-    let mut cpu = Cpu::new(mem, cpu_config, kernel_img.boot_pc);
-    // The boot code's MTPRs install SCBB/PCBB architecturally; priming the
-    // interrupt stack pointer is legitimately machine setup.
-    let on_is = Psl {
-        interrupt_stack: true,
-        ..Psl::kernel_boot()
-    };
-    cpu.regs_mut().set_banked_sp(&on_is, istack_top);
-    // Give boot a kernel stack too (not used past the bootstrap).
-    cpu.regs_mut().set_sp(istack_top - 64);
-
-    let rte = RteSource::new(RteConfig {
-        users: params.terminal_users,
-        think_mean_cycles: params.think_mean_cycles,
-        burst_mean_keys: params.burst_mean_keys,
-        key_gap_cycles: params.key_gap_cycles,
-        seed: params.seed ^ 0xDEAD_BEEF,
-    });
-
-    Ok(Machine {
-        cpu,
-        name: params.name,
+    let frames = phys.into_image(mb.frames_used() * PAGE_BYTES);
+    Ok(MachineImage {
+        bytes: image_bytes(&frames),
+        frames,
+        system,
+        boot_pc: kernel_img.boot_pc,
         idle_pc: kernel_img.idle_pc,
-        timer_period: params.timer_period,
-        next_timer: params.timer_period,
-        dma_period: params.dma_period,
-        dma_burst: params.dma_burst,
-        next_dma: params.dma_period,
-        rte,
-        interrupts_posted: 0,
+        istack_top,
     })
 }
 
