@@ -110,6 +110,24 @@ grep -q '^vax-queue-snapshot v2 ' "$CKPT_DIR/compact.journal.snap"
     --out "$CKPT_DIR/compacted.jsonl"
 diff "$CKPT_DIR/reference.jsonl" "$CKPT_DIR/compacted.jsonl"
 
+# Status gate: serve a copy of the settled compacted journal (snapshot
+# plus tail), capture its `status` over the socket, stop it with a
+# drain, and require its `job` lines to equal those the offline
+# `status --queue` reads from the same copy.
+cp "$CKPT_DIR/compact.journal" "$CKPT_DIR/served.journal"
+cp "$CKPT_DIR/compact.journal.snap" "$CKPT_DIR/served.journal.snap"
+"$VAX780" serve --queue "$CKPT_DIR/served.journal" \
+    --socket "$CKPT_DIR/ssock" --jobs 1 &
+SERVE_PID=$!
+"$VAX780" status --socket "$CKPT_DIR/ssock" > "$CKPT_DIR/served-status.txt"
+"$VAX780" drain --socket "$CKPT_DIR/ssock" --out "$CKPT_DIR/served.jsonl"
+wait "$SERVE_PID"
+"$VAX780" status --queue "$CKPT_DIR/served.journal" > "$CKPT_DIR/offline-status.txt"
+grep '^job ' "$CKPT_DIR/served-status.txt" > "$CKPT_DIR/served-jobs.txt"
+grep '^job ' "$CKPT_DIR/offline-status.txt" > "$CKPT_DIR/offline-jobs.txt"
+test "$(wc -l < "$CKPT_DIR/served-jobs.txt")" -eq 5
+diff "$CKPT_DIR/offline-jobs.txt" "$CKPT_DIR/served-jobs.txt"
+
 # Remote-worker gate: a server with zero local workers on TCP, one
 # `vax780 worker` process settling the queue over the claim protocol.
 # The streamed results — digests included — must be byte-identical to

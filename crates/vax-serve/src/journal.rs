@@ -56,15 +56,21 @@
 //! truncated, damage anywhere else is a hard [`JournalError::Corrupt`]),
 //! settled jobs collapse to fixed-size offset-table entries, and only
 //! unsettled jobs keep their parsed spec in memory. Result lines for
-//! `results`/`drain` are re-derived by seeking to the recorded offsets,
-//! so a fully settled million-job queue streams without ever
-//! materializing the settled set.
+//! `results`/`drain` and the job lines of `status` are re-derived from
+//! the recorded offsets by a `Readout`: it copies a bounded chunk of
+//! ids, states and offsets, then reads the records through one
+//! `JournalReader` — read handles pinned to a journal generation,
+//! with buffered windows, so a pass in id order costs about one read
+//! per window rather than an open, a seek and a read per record. A
+//! fully settled million-job queue streams without ever materializing
+//! the settled set, and a server holds its lock only for the copies.
 
 use crate::spec::JobSpec;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, BufWriter, Write};
+use std::ops::Bound;
 use std::path::{Path, PathBuf};
 use vax780_core::record_log::{self, Appender, LineReader, Reject, Section};
 use vax780_core::MeasuredWorkload;
@@ -175,6 +181,31 @@ struct SettledRef {
     at: u64,
     len: u64,
     kind: JobState,
+}
+
+/// One job as the journal holds it.
+#[derive(Debug, Clone, Copy)]
+enum Job<'a> {
+    Pending(&'a PendingJob),
+    Settled(&'a SettledRef),
+}
+
+/// A `complete` record rendered ahead of its append, so that a caller
+/// who appends under a lock can encode the measurement outside it.
+#[derive(Debug, Clone)]
+pub(crate) struct CompleteRecord {
+    id: JobId,
+    text: String,
+}
+
+impl CompleteRecord {
+    /// Render the `complete` record of job `id`.
+    pub(crate) fn new(id: JobId, result: &MeasuredWorkload) -> CompleteRecord {
+        CompleteRecord {
+            id,
+            text: record_log::render_section(&format!("complete {id}"), result),
+        }
+    }
 }
 
 /// FNV-1a 64-bit digest (stable, dependency-free).
@@ -753,28 +784,28 @@ impl Journal {
     /// Every job in id order, as `(id, state)` — an iterator, not a
     /// materialized list, so a million-job status walk stays flat.
     pub fn states(&self) -> impl Iterator<Item = (JobId, JobState)> + '_ {
-        let mut pending = self.pending.iter().peekable();
-        let mut settled = self.settled.iter().peekable();
-        std::iter::from_fn(move || match (pending.peek(), settled.peek()) {
-            (Some((&p, _)), Some((&s, _))) if p < s => {
-                pending.next();
-                Some((p, JobState::Pending))
+        self.jobs_from(Bound::Unbounded).map(|(id, job)| match job {
+            Job::Pending(_) => (id, JobState::Pending),
+            Job::Settled(r) => (id, r.kind),
+        })
+    }
+
+    /// Every job from `from` on, in id order.
+    fn jobs_from(&self, from: Bound<JobId>) -> impl Iterator<Item = (JobId, Job<'_>)> {
+        let mut pending = self.pending.range((from, Bound::Unbounded)).peekable();
+        let mut settled = self.settled.range((from, Bound::Unbounded)).peekable();
+        std::iter::from_fn(move || {
+            let take_pending = match (pending.peek(), settled.peek()) {
+                (Some((&p, _)), Some((&s, _))) => p < s,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => return None,
+            };
+            if take_pending {
+                pending.next().map(|(&id, job)| (id, Job::Pending(job)))
+            } else {
+                settled.next().map(|(&id, r)| (id, Job::Settled(r)))
             }
-            (Some(_), Some((&s, r))) => {
-                let kind = r.kind;
-                settled.next();
-                Some((s, kind))
-            }
-            (Some((&p, _)), None) => {
-                pending.next();
-                Some((p, JobState::Pending))
-            }
-            (None, Some((&s, r))) => {
-                let kind = r.kind;
-                settled.next();
-                Some((s, kind))
-            }
-            (None, None) => None,
         })
     }
 
@@ -873,9 +904,22 @@ impl Journal {
         id: JobId,
         result: &MeasuredWorkload,
     ) -> Result<(), JournalError> {
-        let section = record_log::render_section(&format!("complete {id}"), result);
-        let at = self.append(&section)?;
-        self.settle_append(id, at, section.len() as u64, JobState::Done);
+        self.append_complete_record(&CompleteRecord::new(id, result))
+    }
+
+    /// Append a `complete` record rendered beforehand by
+    /// [`CompleteRecord::new`]; the bytes are those
+    /// [`Journal::append_complete`] writes.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Io`] if the append fails.
+    pub(crate) fn append_complete_record(
+        &mut self,
+        record: &CompleteRecord,
+    ) -> Result<(), JournalError> {
+        let at = self.append(&record.text)?;
+        self.settle_append(record.id, at, record.text.len() as u64, JobState::Done);
         Ok(())
     }
 
@@ -923,26 +967,20 @@ impl Journal {
         let snap_io = |e| self.snap_io(e);
 
         // 1. Stream every settled record into the records scratch
-        // file, collecting the offset index. Records already in the
-        // snapshot copy verbatim; tail records are re-keyed to the
-        // snapshot's `job` form.
+        // file, collecting the offset index. Every record is written in
+        // the snapshot's `job` form: records already in the snapshot
+        // come out byte for byte as they went in, and tail records are
+        // re-keyed to it.
         let mut entries: Vec<(JobId, u64, u64, JobState)> = Vec::with_capacity(self.settled.len());
         let mut records = BufWriter::new(File::create(&records_tmp).map_err(snap_io)?);
-        let mut files = SegmentFiles::default();
+        let mut reader = self.reader()?;
         let mut rel = 0u64;
         for (&id, r) in &self.settled {
-            let bytes = match r.seg {
-                Segment::Snapshot => files.read(self, r.seg, r.at, r.len)?,
-                Segment::Tail => {
-                    let enqueue = files.read(self, r.seg, r.spec_at, u64::from(r.spec_len))?;
-                    let spec_line = self.spec_from_enqueue(&enqueue, id)?;
-                    let mut record = format!("job {id} {spec_line}\n").into_bytes();
-                    record.extend(files.read(self, r.seg, r.at, r.len)?);
-                    record
-                }
-            };
-            let len = bytes.len() as u64;
-            records.write_all(&bytes).map_err(snap_io)?;
+            let record = reader.with_settled(id, r, true, |spec, settle| {
+                Ok(format!("job {id} {spec}\n{settle}"))
+            })?;
+            let len = record.len() as u64;
+            records.write_all(record.as_bytes()).map_err(snap_io)?;
             entries.push((id, rel, len, r.kind));
             rel += len;
         }
@@ -1027,21 +1065,6 @@ impl Journal {
         Ok(())
     }
 
-    /// Extract the canonical spec line from a raw `enqueue` record.
-    fn spec_from_enqueue(&self, bytes: &[u8], id: JobId) -> Result<String, JournalError> {
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| self.corrupt(format!("enqueue record for job {id} is not UTF-8")))?;
-        let line = text.trim_end_matches('\n');
-        let rest = line
-            .strip_prefix(&format!("enqueue {id} "))
-            .ok_or_else(|| self.corrupt(format!("bad enqueue record for job {id}: `{line}`")))?;
-        let spec = match rest.split_once(' ') {
-            Some((first, tail)) if first.starts_with("client=") => tail,
-            _ => rest,
-        };
-        Ok(spec.to_string())
-    }
-
     /// The canonical one-line spec text for any job, read back from
     /// the segment that holds it (settled specs live only on disk).
     ///
@@ -1055,40 +1078,7 @@ impl Journal {
         let Some(r) = self.settled.get(&id) else {
             return Ok(None);
         };
-        self.with_settled(&mut SegmentFiles::default(), id, *r, |spec, _| {
-            Ok(spec.to_string())
-        })
-        .map(Some)
-    }
-
-    /// Read a settled record back from disk and hand `f` its spec line
-    /// and its raw settle record (the `complete` section or `fail`
-    /// line).
-    fn with_settled<T>(
-        &self,
-        files: &mut SegmentFiles,
-        id: JobId,
-        r: SettledRef,
-        f: impl FnOnce(&str, &str) -> Result<T, JournalError>,
-    ) -> Result<T, JournalError> {
-        let bytes = files.read(self, r.seg, r.at, r.len)?;
-        let text = String::from_utf8(bytes)
-            .map_err(|_| self.corrupt(format!("settle record for job {id} is not UTF-8")))?;
-        match r.seg {
-            Segment::Snapshot => {
-                let (head, settle) = text
-                    .split_once('\n')
-                    .ok_or_else(|| self.snap_corrupt(format!("truncated record for job {id}")))?;
-                let spec = head.strip_prefix(&format!("job {id} ")).ok_or_else(|| {
-                    self.snap_corrupt(format!("bad record head for job {id}: `{head}`"))
-                })?;
-                f(spec, settle)
-            }
-            Segment::Tail => {
-                let enqueue = files.read(self, r.seg, r.spec_at, u64::from(r.spec_len))?;
-                f(&self.spec_from_enqueue(&enqueue, id)?, &text)
-            }
-        }
+        self.reader()?.spec_line(id, r).map(Some)
     }
 
     /// One settled job's deterministic JSON result line, re-derived
@@ -1106,125 +1096,470 @@ impl Journal {
         let Some(r) = self.settled.get(&id) else {
             return Ok(None);
         };
-        self.with_settled(&mut SegmentFiles::default(), id, *r, |spec, settle| {
-            self.render_result(id, spec, settle)
-        })
-        .map(Some)
-    }
-
-    /// Render a result line from a spec line and a raw settle record.
-    /// Field order and formatting are pinned: they are the bytes the
-    /// kill -9 idempotence proof diffs. The digest is computed over the
-    /// raw body bytes — exactly the bytes `append_complete` wrote, so it
-    /// is bit-identical to the digest of the original measurement.
-    fn render_result(
-        &self,
-        id: JobId,
-        spec_line: &str,
-        settle: &str,
-    ) -> Result<String, JournalError> {
-        let spec = JobSpec::parse(spec_line)
-            .map_err(|e| self.corrupt(format!("spec for job {id}: {e}")))?;
-        let spec_json = json_escape(&spec.render());
-        let head = settle.split_once('\n').map_or(settle, |(head, _)| head);
-        if head.starts_with("complete ") {
-            let section = Section::split(settle)
-                .ok()
-                .filter(|s| s.prefix.strip_prefix("complete ").map(str::parse) == Some(Ok(id)))
-                .ok_or_else(|| {
-                    self.corrupt(format!("bad complete record for job {id}: `{head}`"))
-                })?;
-            let machine_checks: u64 = section
-                .body
-                .lines()
-                .find_map(|l| l.trim().strip_prefix("counter machine_checks "))
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0);
-            let (instructions, cycles) = (section.instructions, section.cycles);
-            let cpi = if instructions > 0 {
-                cycles as f64 / instructions as f64
-            } else {
-                0.0
-            };
-            Ok(format!(
-                "{{\"job\":{id},\"spec\":\"{spec_json}\",\"workload\":\"{}\",\
-                 \"instructions\":{instructions},\"cycles\":{cycles},\"cpi\":{cpi:.6},\
-                 \"machine_checks\":{machine_checks},\"digest\":\"{:016x}\"}}",
-                spec.workload.name(),
-                fnv64(&section.body),
-            ))
-        } else if let Some(fail) = head.strip_prefix(&format!("fail {id} attempts ")) {
-            let parsed = fail
-                .split_once(" message ")
-                .and_then(|(k, msg)| k.parse::<u32>().ok().map(|k| (k, unescape_message(msg))));
-            let Some((attempts, message)) = parsed else {
-                return Err(self.corrupt(format!("bad fail record for job {id}: `{head}`")));
-            };
-            Ok(format!(
-                "{{\"job\":{id},\"spec\":\"{spec_json}\",\"failed\":true,\
-                 \"attempts\":{attempts},\"message\":\"{}\"}}",
-                json_escape(&message),
-            ))
-        } else {
-            Err(self.corrupt(format!("unrecognized settle record for job {id}: `{head}`")))
-        }
+        self.reader()?.result_line(id, r).map(Some)
     }
 
     /// Stream every settled job's result line into `out`, id order,
-    /// one seek-and-read per record — memory stays bounded by one
-    /// record regardless of how many jobs have settled. Returns the
-    /// number of lines written.
+    /// through one set of read handles — memory stays bounded by one
+    /// chunk of jobs regardless of how many have settled.
+    /// Returns the number of lines written.
     ///
     /// # Errors
     ///
     /// [`JournalError`] on a read failure, or an `Io` wrapping the
     /// write error if `out` fails.
     pub fn stream_results(&self, out: &mut dyn Write) -> Result<usize, JournalError> {
-        let mut files = SegmentFiles::default();
-        let mut lines = 0usize;
-        for (&id, r) in &self.settled {
-            let line = self.with_settled(&mut files, id, *r, |spec, settle| {
-                self.render_result(id, spec, settle)
-            })?;
-            writeln!(out, "{line}").map_err(|e| self.io_err(e))?;
-            lines += 1;
-        }
-        Ok(lines)
+        Readout::new(Lines::Results)
+            .write_all(self, out)
+            .map_err(|e| match e.downcast::<JournalError>() {
+                Ok(e) => e,
+                Err(e) => self.io_err(e),
+            })
+    }
+
+    /// Write `job <id> <state> <spec>` for every job into `out`, id
+    /// order — the job lines of `status`, offline. Returns the number
+    /// of lines written.
+    ///
+    /// # Errors
+    ///
+    /// The write error if `out` fails; a read failure comes back as an
+    /// `io::Error` wrapping the [`JournalError`].
+    pub fn write_job_lines(&self, out: &mut dyn Write) -> std::io::Result<usize> {
+        Readout::new(Lines::Jobs).write_all(self, out)
+    }
+
+    /// Open read handles on this generation's segments. The handles
+    /// stay valid across later appends and compactions: segments are
+    /// append-only and compaction replaces them by rename, so an open
+    /// handle keeps reading the bytes its offsets name.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Io`] if a segment cannot be opened.
+    pub(crate) fn reader(&self) -> Result<JournalReader, JournalError> {
+        let snapshot = match File::open(&self.snap_path) {
+            Ok(file) => Some(file),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+            Err(source) => return Err(self.snap_io(source)),
+        };
+        Ok(JournalReader {
+            path: self.path.clone(),
+            snap_path: self.snap_path.clone(),
+            generation: self.generation,
+            snapshot,
+            tail: File::open(&self.path).map_err(|e| self.io_err(e))?,
+            snap_window: Window::default(),
+            spec_window: Window::default(),
+            settle_window: Window::default(),
+        })
     }
 }
 
-/// Lazily opened read handles, one per segment, shared across a pass.
-#[derive(Default)]
-struct SegmentFiles {
-    snapshot: Option<File>,
-    tail: Option<File>,
+/// Bytes one [`JournalReader`] window fetches per read: a few dozen
+/// ~2 KB records, so a pass in offset order costs one `pread` per
+/// window rather than one per record.
+const READ_WINDOW_BYTES: usize = 64 * 1024;
+
+/// A cached run of one segment's bytes, refilled by positional reads
+/// (`pread`), so several windows can share one file handle.
+#[derive(Debug, Default)]
+struct Window {
+    buf: Vec<u8>,
+    /// File offset of `buf[0]`.
+    start: u64,
 }
 
-impl SegmentFiles {
-    /// Read `len` bytes at `at` from one of the journal's segments.
-    fn read(
-        &mut self,
-        j: &Journal,
-        seg: Segment,
-        at: u64,
-        len: u64,
-    ) -> Result<Vec<u8>, JournalError> {
-        let (slot, path) = match seg {
-            Segment::Snapshot => (&mut self.snapshot, &j.snap_path),
-            Segment::Tail => (&mut self.tail, &j.path),
-        };
-        let io = |source| JournalError::Io {
-            path: path.clone(),
-            source,
-        };
-        if slot.is_none() {
-            *slot = Some(File::open(path).map_err(io)?);
+impl Window {
+    /// The `len` bytes at `at`, from the window if it holds them, else
+    /// from a refill that starts at `at` and reads ahead.
+    fn read(&mut self, file: &File, at: u64, len: u64) -> std::io::Result<&[u8]> {
+        use std::os::unix::fs::FileExt;
+        let held = self.start..=self.start + self.buf.len() as u64;
+        let end = at
+            .checked_add(len)
+            .ok_or(std::io::ErrorKind::InvalidInput)?;
+        if !(held.contains(&at) && held.contains(&end)) {
+            let len = usize::try_from(len).map_err(|_| std::io::ErrorKind::InvalidInput)?;
+            self.buf.clear();
+            self.buf.resize(len.max(READ_WINDOW_BYTES), 0);
+            let mut filled = 0;
+            while filled < len {
+                match file.read_at(&mut self.buf[filled..], at + filled as u64) {
+                    Ok(0) => break,
+                    Ok(n) => filled += n,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(e) => {
+                        self.buf.clear();
+                        return Err(e);
+                    }
+                }
+            }
+            self.buf.truncate(filled);
+            self.start = at;
+            if filled < len {
+                return Err(std::io::ErrorKind::UnexpectedEof.into());
+            }
         }
-        let file = slot.as_mut().expect("opened above");
-        file.seek(SeekFrom::Start(at)).map_err(io)?;
-        let mut buf = vec![0u8; len as usize];
-        file.read_exact(&mut buf).map_err(io)?;
-        Ok(buf)
+        let from = (at - self.start) as usize;
+        Ok(&self.buf[from..from + (end - at) as usize])
+    }
+}
+
+/// Read handles pinned to one journal generation: one per segment,
+/// opened by [`Journal::reader`]. Records are read through buffered
+/// windows, so a pass in id order — which is offset order within each
+/// segment — costs about one read per window, not one per record. The
+/// tail gets two windows, because a job's `enqueue` record and its
+/// settle record lie apart.
+#[derive(Debug)]
+pub(crate) struct JournalReader {
+    path: PathBuf,
+    snap_path: PathBuf,
+    /// The generation whose segments the handles hold open.
+    generation: u64,
+    snapshot: Option<File>,
+    tail: File,
+    snap_window: Window,
+    spec_window: Window,
+    settle_window: Window,
+}
+
+impl JournalReader {
+    /// Read a settled record back and hand `f` its spec line and its
+    /// raw settle record (the `complete` section or `fail` line). With
+    /// `settle` false, a tail job's settle record is not read and `f`
+    /// gets an empty one.
+    fn with_settled<T>(
+        &mut self,
+        id: JobId,
+        r: &SettledRef,
+        settle: bool,
+        f: impl FnOnce(&str, &str) -> Result<T, JournalError>,
+    ) -> Result<T, JournalError> {
+        let not_utf8 = |what: &str| JournalError::Corrupt {
+            path: self.path.clone(),
+            detail: format!("{what} record for job {id} is not UTF-8"),
+        };
+        match r.seg {
+            Segment::Snapshot => {
+                let bytes = read_at(
+                    self.snapshot.as_ref(),
+                    &mut self.snap_window,
+                    &self.snap_path,
+                    r.at,
+                    r.len,
+                )?;
+                let text = std::str::from_utf8(bytes).map_err(|_| not_utf8("settle"))?;
+                let snap_corrupt = |detail| JournalError::Corrupt {
+                    path: self.snap_path.clone(),
+                    detail,
+                };
+                let (head, settle) = text
+                    .split_once('\n')
+                    .ok_or_else(|| snap_corrupt(format!("truncated record for job {id}")))?;
+                let spec = head.strip_prefix(&format!("job {id} ")).ok_or_else(|| {
+                    snap_corrupt(format!("bad record head for job {id}: `{head}`"))
+                })?;
+                f(spec, settle)
+            }
+            Segment::Tail => {
+                let record = if settle {
+                    let bytes = read_at(
+                        Some(&self.tail),
+                        &mut self.settle_window,
+                        &self.path,
+                        r.at,
+                        r.len,
+                    )?;
+                    std::str::from_utf8(bytes).map_err(|_| not_utf8("settle"))?
+                } else {
+                    ""
+                };
+                let enqueue = read_at(
+                    Some(&self.tail),
+                    &mut self.spec_window,
+                    &self.path,
+                    r.spec_at,
+                    u64::from(r.spec_len),
+                )?;
+                let text = std::str::from_utf8(enqueue).map_err(|_| not_utf8("enqueue"))?;
+                f(spec_from_enqueue(&self.path, text, id)?, record)
+            }
+        }
+    }
+
+    fn spec_line(&mut self, id: JobId, r: &SettledRef) -> Result<String, JournalError> {
+        self.with_settled(id, r, false, |spec, _| Ok(spec.to_string()))
+    }
+
+    fn result_line(&mut self, id: JobId, r: &SettledRef) -> Result<String, JournalError> {
+        self.with_settled(id, r, true, |spec, settle| {
+            Ok(render_result(id, spec, settle))
+        })?
+        .map_err(|detail| JournalError::Corrupt {
+            path: self.path.clone(),
+            detail,
+        })
+    }
+}
+
+/// Read `len` bytes at `at` from a segment through `window`; a missing
+/// segment file reads as not found.
+fn read_at<'w>(
+    file: Option<&File>,
+    window: &'w mut Window,
+    path: &Path,
+    at: u64,
+    len: u64,
+) -> Result<&'w [u8], JournalError> {
+    let io = |source| JournalError::Io {
+        path: path.to_path_buf(),
+        source,
+    };
+    let file = file.ok_or_else(|| io(std::io::ErrorKind::NotFound.into()))?;
+    window.read(file, at, len).map_err(io)
+}
+
+/// Extract the canonical spec line from a raw `enqueue` record.
+fn spec_from_enqueue<'a>(path: &Path, text: &'a str, id: JobId) -> Result<&'a str, JournalError> {
+    let line = text.trim_end_matches('\n');
+    let rest = line
+        .strip_prefix(&format!("enqueue {id} "))
+        .ok_or_else(|| JournalError::Corrupt {
+            path: path.to_path_buf(),
+            detail: format!("bad enqueue record for job {id}: `{line}`"),
+        })?;
+    Ok(match rest.split_once(' ') {
+        Some((first, tail)) if first.starts_with("client=") => tail,
+        _ => rest,
+    })
+}
+
+/// Render a result line from a spec line and a raw settle record.
+/// Field order and formatting are pinned: they are the bytes the
+/// kill -9 idempotence proof diffs. The digest is computed over the
+/// raw body bytes — exactly the bytes `append_complete` wrote, so it
+/// is bit-identical to the digest of the original measurement. `Err`
+/// describes what is wrong with the records.
+fn render_result(id: JobId, spec_line: &str, settle: &str) -> Result<String, String> {
+    let spec = JobSpec::parse(spec_line).map_err(|e| format!("spec for job {id}: {e}"))?;
+    let spec_json = json_escape(&spec.render());
+    let head = settle.split_once('\n').map_or(settle, |(head, _)| head);
+    if head.starts_with("complete ") {
+        let section = Section::split(settle)
+            .ok()
+            .filter(|s| s.prefix.strip_prefix("complete ").map(str::parse) == Some(Ok(id)))
+            .ok_or_else(|| format!("bad complete record for job {id}: `{head}`"))?;
+        let machine_checks: u64 = section
+            .body
+            .lines()
+            .find_map(|l| l.trim().strip_prefix("counter machine_checks "))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(0);
+        let (instructions, cycles) = (section.instructions, section.cycles);
+        let cpi = if instructions > 0 {
+            cycles as f64 / instructions as f64
+        } else {
+            0.0
+        };
+        Ok(format!(
+            "{{\"job\":{id},\"spec\":\"{spec_json}\",\"workload\":\"{}\",\
+             \"instructions\":{instructions},\"cycles\":{cycles},\"cpi\":{cpi:.6},\
+             \"machine_checks\":{machine_checks},\"digest\":\"{:016x}\"}}",
+            spec.workload.name(),
+            fnv64(&section.body),
+        ))
+    } else if let Some(fail) = head.strip_prefix(&format!("fail {id} attempts ")) {
+        let parsed = fail
+            .split_once(" message ")
+            .and_then(|(k, msg)| k.parse::<u32>().ok().map(|k| (k, unescape_message(msg))));
+        let Some((attempts, message)) = parsed else {
+            return Err(format!("bad fail record for job {id}: `{head}`"));
+        };
+        Ok(format!(
+            "{{\"job\":{id},\"spec\":\"{spec_json}\",\"failed\":true,\
+             \"attempts\":{attempts},\"message\":\"{}\"}}",
+            json_escape(&message),
+        ))
+    } else {
+        Err(format!("unrecognized settle record for job {id}: `{head}`"))
+    }
+}
+
+/// Jobs one [`Readout::copy`] takes out of the journal. A server copies
+/// a chunk under its lock and renders it after releasing the lock, so
+/// this bounds both the lock hold and the reply's memory.
+pub(crate) const READOUT_CHUNK: usize = 256;
+
+/// Which lines a [`Readout`] renders.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Lines {
+    /// `job <id> <state> <spec>` for every job, as `status` lists them.
+    Jobs,
+    /// A result line for every settled job, as `results` streams them;
+    /// unsettled jobs are skipped.
+    Results,
+    /// A result line for every job in id order, as `drain` streams
+    /// them: the pass stops at the first unsettled job until it
+    /// settles.
+    Settling,
+}
+
+/// What one [`Readout::copy`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Copied {
+    /// A chunk of lines is ready for [`Readout::write`].
+    Lines,
+    /// ([`Lines::Settling`] only) the next job has not settled yet.
+    Wait,
+    /// The pass has covered every job.
+    Done,
+}
+
+/// A job's place in the journal, copied out by [`Readout::copy`].
+#[derive(Debug)]
+struct Entry {
+    id: JobId,
+    state: &'static str,
+    record: Record,
+}
+
+/// Where an [`Entry`]'s line comes from.
+#[derive(Debug)]
+enum Record {
+    /// A settled job's offsets.
+    Settled(SettledRef),
+    /// An unsettled job's spec line, rendered from memory.
+    Unsettled(String),
+}
+
+/// One pass over a journal's jobs in id order, a chunk at a time, in
+/// two steps: [`Readout::copy`] takes the next chunk's ids, states and
+/// record offsets — cheap, and all a caller must do under its lock —
+/// and [`Readout::write`] reads, renders and writes them, which needs
+/// no lock. The pass reads through one [`JournalReader`], reopened
+/// only when a compaction has moved the journal to a new generation
+/// between chunks; the offsets of a chunk always belong to the
+/// generation of the reader that reads them.
+#[derive(Debug)]
+pub(crate) struct Readout {
+    lines: Lines,
+    reader: Option<JournalReader>,
+    /// The last id copied; the next chunk starts after it.
+    after: Option<JobId>,
+    chunk: Vec<Entry>,
+}
+
+impl Readout {
+    /// A pass that has copied nothing yet.
+    pub(crate) fn new(lines: Lines) -> Readout {
+        Readout {
+            lines,
+            reader: None,
+            after: None,
+            chunk: Vec::new(),
+        }
+    }
+
+    /// Copy the next chunk out of `journal`: at most [`READOUT_CHUNK`]
+    /// jobs. `running` names which unsettled jobs `status` reports as
+    /// `running`. A chunk copied earlier and not yet written is
+    /// dropped.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Io`] if the segments of a new generation cannot
+    /// be opened.
+    pub(crate) fn copy(
+        &mut self,
+        journal: &Journal,
+        running: &dyn Fn(JobId) -> bool,
+    ) -> Result<Copied, JournalError> {
+        if self.reader.as_ref().map(|r| r.generation) != Some(journal.generation) {
+            self.reader = Some(journal.reader()?);
+        }
+        self.chunk.clear();
+        let from = match self.after {
+            Some(id) => Bound::Excluded(id),
+            None => Bound::Unbounded,
+        };
+        let mut jobs = journal.jobs_from(from);
+        let mut waiting = false;
+        while self.chunk.len() < READOUT_CHUNK {
+            let Some((id, job)) = jobs.next() else { break };
+            let entry = match (self.lines, job) {
+                (Lines::Jobs, Job::Pending(p)) => Entry {
+                    id,
+                    state: if running(id) { "running" } else { "pending" },
+                    record: Record::Unsettled(p.spec.render()),
+                },
+                (Lines::Results, Job::Pending(_)) => continue,
+                (Lines::Settling, Job::Pending(_)) => {
+                    waiting = true;
+                    break;
+                }
+                (_, Job::Settled(r)) => Entry {
+                    id,
+                    state: r.kind.name(),
+                    record: Record::Settled(*r),
+                },
+            };
+            self.chunk.push(entry);
+        }
+        Ok(match self.chunk.last() {
+            Some(last) => {
+                self.after = Some(last.id);
+                Copied::Lines
+            }
+            None if waiting => Copied::Wait,
+            None => Copied::Done,
+        })
+    }
+
+    /// Read, render and write the chunk the last [`Readout::copy`]
+    /// took. Returns the number of lines written.
+    ///
+    /// # Errors
+    ///
+    /// The write error if `out` fails; a read failure comes back as an
+    /// `io::Error` wrapping the [`JournalError`].
+    pub(crate) fn write(&mut self, out: &mut dyn Write) -> std::io::Result<usize> {
+        let Some(reader) = self.reader.as_mut() else {
+            return Ok(0);
+        };
+        let lines = self.chunk.len();
+        for entry in self.chunk.drain(..) {
+            let id = entry.id;
+            match (self.lines, &entry.record) {
+                (Lines::Jobs, Record::Unsettled(spec)) => {
+                    writeln!(out, "job {id} {} {spec}", entry.state)?;
+                }
+                (Lines::Jobs, Record::Settled(r)) => {
+                    let spec = reader.spec_line(id, r).map_err(std::io::Error::other)?;
+                    writeln!(out, "job {id} {} {spec}", entry.state)?;
+                }
+                (_, Record::Settled(r)) => {
+                    let line = reader.result_line(id, r).map_err(std::io::Error::other)?;
+                    writeln!(out, "{line}")?;
+                }
+                (_, Record::Unsettled(_)) => unreachable!("result passes copy settled jobs only"),
+            }
+        }
+        Ok(lines)
+    }
+
+    /// Run the whole pass over a journal nobody else is changing.
+    fn write_all(&mut self, journal: &Journal, out: &mut dyn Write) -> std::io::Result<usize> {
+        let mut lines = 0;
+        while self
+            .copy(journal, &|_| false)
+            .map_err(std::io::Error::other)?
+            == Copied::Lines
+        {
+            lines += self.write(out)?;
+        }
+        Ok(lines)
     }
 }
 

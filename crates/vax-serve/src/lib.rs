@@ -12,13 +12,17 @@
 //!   written to the `vax-queue-journal v2` log; settled jobs
 //!   compact into a snapshot segment behind an offset index, so replay
 //!   and result streaming are O(unsettled) in memory and the live tail
-//!   stays small no matter how long the queue's history grows;
+//!   stays small no matter how long the queue's history grows; jobs
+//!   are read back a chunk at a time through read handles pinned to
+//!   one generation;
 //! - [`queue`] — executors: in-process threads or `job-worker` OS
 //!   processes, with per-attempt timeouts;
-//! - [`wire`] — the line protocol (Unix socket or TCP) and client;
+//! - [`wire`] — the line protocol (Unix socket or TCP) and client,
+//!   one buffered writer per message;
 //! - [`server`] — the worker pool with bounded-capacity backpressure,
 //!   per-client quotas, bounded retry with deterministic backoff,
-//!   `drain` streaming, and remote `claim` workers over TCP.
+//!   `drain` streaming, and remote `claim` workers over TCP; no reply
+//!   is written under its lock.
 //!
 //! The durability contract, end to end: `kill -9` the server at any
 //! instant, restart it on the same journal, and the merged results are

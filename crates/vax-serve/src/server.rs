@@ -18,8 +18,23 @@
 //! line straight from the journal's offset index, and every
 //! `compact_every` settlements the journal folds its settled tail into
 //! the snapshot segment so the live file stays O(unsettled).
+//!
+//! Reading out never stops the machine (the paper's board, §2.2, is
+//! read over the Unibus without disturbing collection). No handler
+//! writes to a socket while it holds the lock: `status`, `results` and
+//! `drain` copy a chunk of ids, states and offsets under it, then read
+//! the records through a journal readout's pinned read handles, render
+//! and write them with the lock released; `metrics` copies its
+//! figures, and every one-line reply is chosen under the lock and
+//! written after it. A client that stops reading blocks only its own
+//! handler. Each reply goes through one buffered writer, flushed at its
+//! `end` — and by `drain` also before it waits for an unsettled job.
+//! Workers encode a `complete` record before taking the lock, so only
+//! the append happens under it.
 
-use crate::journal::{valid_client_name, JobId, JobState, Journal, JournalError};
+use crate::journal::{
+    valid_client_name, CompleteRecord, Copied, JobId, Journal, JournalError, Lines, Readout,
+};
 use crate::queue::{parse_result_blob, Executor};
 use crate::spec::JobSpec;
 use crate::wire::{Conn, Endpoint};
@@ -364,8 +379,11 @@ fn worker_loop(shared: &Shared, executor: &dyn Executor, index: usize) {
                     cum_cycles += m.cycles;
                     cum_instructions += m.instructions;
                     metrics.end_phase(cum_cycles, cum_instructions);
+                    // Encode before locking: only the append itself
+                    // needs the lock.
+                    let record = CompleteRecord::new(id, &m);
                     let mut st = shared.lock();
-                    if let Err(e) = st.journal.append_complete(id, &m) {
+                    if let Err(e) = st.journal.append_complete_record(&record) {
                         shared.fail_fatal(&mut st, e.to_string());
                         st.worker_metrics[index] = metrics;
                         return;
@@ -556,46 +574,57 @@ fn handle_enqueue(shared: &Shared, request: &str) -> String {
     }
 }
 
+/// Copy the next chunk of a readout under the lock; `status` names the
+/// jobs a worker holds `running`.
+fn copy_chunk(st: &State, readout: &mut Readout) -> std::io::Result<Copied> {
+    readout
+        .copy(&st.journal, &|id| st.running.contains(&id))
+        .map_err(std::io::Error::other)
+}
+
+/// The summary line, then every job's line, a chunk at a time: each
+/// chunk is copied under the lock and read, rendered and written
+/// outside it.
 fn handle_status(shared: &Shared, writer: &mut dyn Write) -> std::io::Result<()> {
-    let st = shared.lock();
-    let (_, done, failed) = st.journal.counts();
-    writeln!(
-        writer,
-        "ok capacity {} pending {} running {} done {done} failed {failed} draining {}",
-        shared.capacity,
-        st.queue.len(),
-        st.running.len(),
-        u8::from(st.draining),
-    )?;
-    for (id, state) in st.journal.states() {
-        let name = match state {
-            JobState::Pending if st.running.contains(&id) => "running",
-            state => state.name(),
-        };
-        let spec = st
-            .journal
-            .spec_line(id)
-            .map_err(|e| std::io::Error::other(e.to_string()))?
-            .unwrap_or_default();
-        writeln!(writer, "job {id} {name} {spec}")?;
+    let mut readout = Readout::new(Lines::Jobs);
+    let (head, mut copied) = {
+        let st = shared.lock();
+        let (_, done, failed) = st.journal.counts();
+        let head = format!(
+            "ok capacity {} pending {} running {} done {done} failed {failed} draining {}",
+            shared.capacity,
+            st.queue.len(),
+            st.running.len(),
+            u8::from(st.draining),
+        );
+        (head, copy_chunk(&st, &mut readout)?)
+    };
+    writeln!(writer, "{head}")?;
+    while copied == Copied::Lines {
+        readout.write(writer)?;
+        copied = copy_chunk(&shared.lock(), &mut readout)?;
     }
     writeln!(writer, "end")
 }
 
+/// Every settled job's result line, a chunk at a time, copied and
+/// written as in `status`.
 fn handle_results(shared: &Shared, writer: &mut dyn Write) -> std::io::Result<()> {
-    let st = shared.lock();
-    st.journal
-        .stream_results(writer)
-        .map_err(|e| std::io::Error::other(e.to_string()))?;
+    let mut readout = Readout::new(Lines::Results);
+    while copy_chunk(&shared.lock(), &mut readout)? == Copied::Lines {
+        readout.write(writer)?;
+    }
     writeln!(writer, "end")
 }
 
 fn handle_metrics(shared: &Shared, writer: &mut dyn Write) -> std::io::Result<()> {
-    let st = shared.lock();
-    let (_, done, failed) = st.journal.counts();
-    let metrics = CampaignMetrics {
-        workers: st.worker_metrics.clone(),
-        wall: shared.started.elapsed(),
+    let ((_, done, failed), metrics) = {
+        let st = shared.lock();
+        let metrics = CampaignMetrics {
+            workers: st.worker_metrics.clone(),
+            wall: shared.started.elapsed(),
+        };
+        (st.journal.counts(), metrics)
     };
     writeln!(
         writer,
@@ -612,50 +641,52 @@ fn handle_metrics(shared: &Shared, writer: &mut dyn Write) -> std::io::Result<()
 
 /// Stream every job's result in id order as it settles, then stop the
 /// server. New enqueues are rejected from the moment draining starts,
-/// so the id range snapshotted here is complete. Each line is read
-/// back from the journal's offset index one at a time — the drain
-/// never holds more than one result in memory.
+/// so the jobs the readout walks are all there will be. Settled jobs
+/// go out a chunk at a time, copied under the lock and written outside
+/// it; before waiting for an unsettled job, the reply is flushed, so no
+/// settled line is held back while the server waits.
 fn handle_drain(shared: &Shared, writer: &mut dyn Write) -> std::io::Result<()> {
-    let last = {
+    {
         let mut st = shared.lock();
         st.draining = true;
         st.drain_streams += 1;
         shared.cv.notify_all();
-        st.journal.last_id()
-    };
+    }
     let _stream = DrainStream(shared);
-    'ids: for id in 1..=last {
-        let line = {
+    let mut readout = Readout::new(Lines::Settling);
+    let mut flushed = false;
+    loop {
+        let copied = {
             let mut st = shared.lock();
             loop {
-                match st.journal.state(id) {
-                    // Ids can have gaps only if the journal predates
-                    // this server; skip silently.
-                    None => continue 'ids,
-                    Some(JobState::Pending) if st.shutdown => break None,
-                    Some(JobState::Pending) => {
+                match copy_chunk(&st, &mut readout)? {
+                    // Fatal shutdown mid-drain: stop streaming and
+                    // terminate the reply so the client is not left
+                    // hanging.
+                    Copied::Wait if st.shutdown => break Copied::Done,
+                    Copied::Wait if flushed => {
                         st = shared.cv.wait(st).unwrap_or_else(|e| e.into_inner());
                     }
-                    Some(_) => {
-                        break st
-                            .journal
-                            .result_line(id)
-                            .map_err(|e| std::io::Error::other(e.to_string()))?
-                    }
+                    copied => break copied,
                 }
             }
         };
-        match line {
-            Some(line) => {
-                writeln!(writer, "{line}")?;
-                writer.flush()?;
+        match copied {
+            Copied::Lines => {
+                readout.write(writer)?;
+                flushed = false;
             }
-            // Fatal shutdown mid-drain: stop streaming, terminate the
-            // reply so the client is not left hanging.
-            None => break,
+            Copied::Wait => {
+                writer.flush()?;
+                flushed = true;
+            }
+            Copied::Done => break,
         }
     }
+    // Flush before stopping: once the flag is set the server may
+    // return, and its process exit, at any moment.
     writeln!(writer, "end")?;
+    writer.flush()?;
     let mut st = shared.lock();
     st.shutdown = true;
     shared.cv.notify_all();
@@ -686,34 +717,35 @@ impl Drop for DrainStream<'_> {
 fn handle_claim(
     shared: &Shared,
     reader: &mut BufReader<Conn>,
-    writer: &mut Conn,
+    writer: &mut dyn Write,
 ) -> std::io::Result<()> {
     let max_attempts = shared.retry.max_attempts.max(1);
-    let (id, spec, attempt) = {
+    // The reply is chosen under the lock and written after it.
+    let claimed = 'claim: {
         let mut st = shared.lock();
         if st.shutdown {
-            return writeln!(writer, "gone");
+            break 'claim Err("gone");
         }
         let Some(id) = st.queue.pop_front() else {
             // `drain` only finishes once running jobs settle, so tell a
             // draining server's workers to leave rather than idle.
-            return if st.draining {
-                writeln!(writer, "gone")
-            } else {
-                writeln!(writer, "idle")
-            };
+            break 'claim Err(if st.draining { "gone" } else { "idle" });
         };
         let Some((spec, starts)) = st.journal.pending_job(id).map(|(s, k)| (s.clone(), k)) else {
-            return writeln!(writer, "idle");
+            break 'claim Err("idle");
         };
         let attempt = starts + 1;
         if let Err(e) = st.journal.append_start(id, attempt) {
             st.queue.push_front(id);
             shared.fail_fatal(&mut st, e.to_string());
-            return writeln!(writer, "gone");
+            break 'claim Err("gone");
         }
         st.running.insert(id);
-        (id, spec, attempt)
+        Ok((id, spec, attempt))
+    };
+    let (id, spec, attempt) = match claimed {
+        Ok(claim) => claim,
+        Err(reply) => return writeln!(writer, "{reply}"),
     };
     writeln!(writer, "job {id} {}", spec.render())?;
     writer.flush()?;
@@ -724,8 +756,8 @@ fn handle_claim(
     let outcome = read_claim_outcome(reader, id, &spec);
     let mut st = shared.lock();
     match outcome {
-        Ok(ClaimOutcome::Done(m)) => {
-            if let Err(e) = st.journal.append_complete(id, &m) {
+        Ok(ClaimOutcome::Done(record)) => {
+            if let Err(e) = st.journal.append_complete_record(&record) {
                 shared.fail_fatal(&mut st, e.to_string());
                 return Ok(());
             }
@@ -766,14 +798,27 @@ fn handle_claim(
 
 /// What a remote worker sent back for one claim.
 enum ClaimOutcome {
-    /// A parsed `vax-job-result v1` blob.
-    Done(vax780_core::MeasuredWorkload),
+    /// A parsed `vax-job-result v1` blob, already rendered as the
+    /// journal's `complete` record so that the lock is held only for
+    /// the append.
+    Done(CompleteRecord),
     /// A `fail <id> <message>` report.
     Failed(String),
 }
 
+/// Longest `vax-job-result v1` blob a claiming worker may send after its
+/// `result <id>` line. The longest blob `render_result_blob` can produce
+/// — every bucket of both planes nonzero at `u64::MAX`, and every
+/// counter — is 16,384 bucket lines of at most 47 bytes plus a few
+/// hundred bytes of header and counters, about 753 KiB. A longer blob is
+/// a failed, retryable attempt, and the server reads at most one byte
+/// past this bound.
+pub const MAX_RESULT_BLOB_BYTES: usize = 1 << 20;
+
 /// Read the worker's half of a claim; `Err` means connection
 /// loss/timeout/garbage (a retryable attempt, like a local failure).
+/// The head line is bounded like a request line and the blob by
+/// [`MAX_RESULT_BLOB_BYTES`].
 fn read_claim_outcome(
     reader: &mut BufReader<Conn>,
     id: JobId,
@@ -781,25 +826,46 @@ fn read_claim_outcome(
 ) -> std::io::Result<ClaimOutcome> {
     let bad = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
     let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    if reader
+        .by_ref()
+        .take(MAX_REQUEST_BYTES as u64 + 1)
+        .read_line(&mut line)?
+        == 0
+    {
         return Err(bad("connection closed before a result".to_string()));
+    }
+    if line.trim_end_matches('\n').len() > MAX_REQUEST_BYTES {
+        return Err(bad(format!(
+            "worker reply line longer than {MAX_REQUEST_BYTES} bytes"
+        )));
     }
     let head = line.trim();
     if head == format!("result {id}") {
         let mut blob = String::new();
+        let mut limited = reader.by_ref().take(MAX_RESULT_BLOB_BYTES as u64 + 1);
+        let too_long = || {
+            bad(format!(
+                "result blob longer than {MAX_RESULT_BLOB_BYTES} bytes"
+            ))
+        };
         loop {
-            let mut l = String::new();
-            if reader.read_line(&mut l)? == 0 {
-                return Err(bad("connection closed mid-blob".to_string()));
+            let start = blob.len();
+            if limited.read_line(&mut blob)? == 0 {
+                return Err(if blob.len() > MAX_RESULT_BLOB_BYTES {
+                    too_long()
+                } else {
+                    bad("connection closed mid-blob".to_string())
+                });
             }
-            let done = l.trim_end() == "end";
-            blob.push_str(&l);
-            if done {
+            if blob[start..].trim_end() == "end" {
                 break;
             }
         }
+        if blob.len() > MAX_RESULT_BLOB_BYTES {
+            return Err(too_long());
+        }
         let m = parse_result_blob(&blob, spec.workload.name()).map_err(bad)?;
-        Ok(ClaimOutcome::Done(m))
+        Ok(ClaimOutcome::Done(CompleteRecord::new(id, &m)))
     } else if let Some(rest) = head
         .strip_prefix(&format!("fail {id}"))
         .filter(|r| r.is_empty() || r.starts_with(' '))
@@ -813,6 +879,7 @@ fn read_claim_outcome(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::JobState;
     use crate::queue::{ExecError, InProcessExecutor};
     use std::path::Path;
     use std::sync::atomic::{AtomicUsize, Ordering};

@@ -27,9 +27,16 @@
 //! The listener blocks in `accept`, so a connection is taken the moment
 //! it arrives; nothing polls. To stop it, the server sets its shutdown
 //! flag and then [`Listener::wake`]s it with one throwaway connection.
+//!
+//! Both ends write through one buffered writer per connection
+//! ([`Conn::split`]): a request line or a whole reply leaves in one
+//! `write` per [`WRITE_BUFFER_BYTES`], not one per format piece. A
+//! writer is flushed at the end of its message and before its owner
+//! waits on anything — a reply on its `end`, `drain` also before it
+//! blocks for an unsettled job, a `claim` after its `job` line.
 
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -161,6 +168,11 @@ impl Listener {
     }
 }
 
+/// Bytes a connection's writer gathers before it writes to the socket:
+/// about a hundred result lines, so a long reply costs one `write` per
+/// buffer rather than one per format piece.
+pub const WRITE_BUFFER_BYTES: usize = 32 * 1024;
+
 /// One accepted or dialed connection.
 #[derive(Debug)]
 pub enum Conn {
@@ -183,17 +195,23 @@ impl Conn {
         }
     }
 
-    /// Split into a buffered reader plus a writable clone.
+    /// Split into a buffered reader plus a buffered writer on a clone.
+    /// Nothing written reaches the socket until the writer's buffer
+    /// fills or it is flushed, so a caller must flush before it waits
+    /// for the peer.
     ///
     /// # Errors
     ///
     /// If the underlying socket cannot be duplicated.
-    pub fn split(self) -> io::Result<(BufReader<Conn>, Conn)> {
+    pub fn split(self) -> io::Result<(BufReader<Conn>, BufWriter<Conn>)> {
         let writer = match &self {
             Conn::Unix(s) => Conn::Unix(s.try_clone()?),
             Conn::Tcp(s) => Conn::Tcp(s.try_clone()?),
         };
-        Ok((BufReader::new(self), writer))
+        Ok((
+            BufReader::new(self),
+            BufWriter::with_capacity(WRITE_BUFFER_BYTES, writer),
+        ))
     }
 }
 

@@ -4,10 +4,11 @@
 //! can land at any byte of the new snapshot, between the two renames,
 //! or after both — and every one of those on-disk states must replay
 //! to the same queue and, once settled, merge into byte-identical
-//! results. The 10k-job test pins the streaming paths: `drain` and
-//! `results` go to the wire one record at a time, and their bytes
-//! never change across a compaction.
+//! results. The 10k-job tests pin the streaming paths: `drain` and
+//! `results` go to the wire a chunk at a time, and their bytes never
+//! change across a compaction — not even one that lands mid-stream.
 
+use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -288,4 +289,100 @@ fn ten_thousand_job_drain_streams_byte_identical_across_compaction() {
     }
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `results` or `drain` stream that a `compact` crosses: the reply
+/// is far larger than the socket and the server's write buffer, so when
+/// the client has read one line the handler is still mid-reply, and the
+/// compaction lands between its chunks. Chunks copied before it read
+/// the old generation's segments through handles that stay open; chunks
+/// copied after read the new ones. Either way the lines must be byte-
+/// identical to `Journal::stream_results` on the reopened journal.
+fn stream_across_compaction_matches_the_reopened_journal(verb: &str) {
+    const N: u64 = 10_000;
+    let dir = tempdir(&format!("vax-serve-compact-crossing-{verb}"));
+    let path = dir.join("q.journal");
+    {
+        // Half the history in the snapshot, half settled in the tail.
+        let mut j = Journal::open(&path).unwrap();
+        for seed in 1..=N {
+            let id = j.append_enqueue(&spec_for(seed)).unwrap();
+            j.append_start(id, 1).unwrap();
+            if seed % 97 == 0 {
+                j.append_fail(id, 1, "attempt 1/1: synthetic failure")
+                    .unwrap();
+            } else {
+                j.append_complete(id, &synth(seed)).unwrap();
+            }
+            if seed == N / 2 {
+                j.compact().unwrap();
+            }
+        }
+    }
+    let sock = dir.join("s.sock");
+    let socket = Endpoint::Unix(sock.clone());
+    let config = ServeConfig {
+        journal: path.clone(),
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let server = {
+        let socket = socket.clone();
+        std::thread::spawn(move || run_server(&config, Some(&socket), Arc::new(InProcessExecutor)))
+    };
+    let client = Client::new(socket, Duration::from_secs(30));
+    assert!(client.request_line("metrics").unwrap().starts_with("ok "));
+
+    let mut conn = std::os::unix::net::UnixStream::connect(&sock).unwrap();
+    conn.write_all(format!("{verb}\n").as_bytes()).unwrap();
+    let mut reader = std::io::BufReader::new(conn);
+    let mut lines = vec![String::new()];
+    reader.read_line(&mut lines[0]).unwrap();
+
+    // The compaction runs while the stream is stalled on this reader.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let compactor = Client::new(Endpoint::Unix(sock), Duration::from_secs(30));
+    std::thread::spawn(move || tx.send(compactor.request_line("compact")));
+    let compacted = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("compact stalled behind the stream")
+        .unwrap();
+    assert_eq!(
+        compacted,
+        format!("ok compacted {} settled record(s) into generation 2", N / 2)
+    );
+
+    loop {
+        let mut line = String::new();
+        assert!(reader.read_line(&mut line).unwrap() > 0, "no `end`");
+        if line == "end\n" {
+            break;
+        }
+        lines.push(line);
+    }
+    if verb != "drain" {
+        assert_eq!(client.request_line("shutdown").unwrap(), "ok");
+    }
+    server.join().unwrap().unwrap();
+
+    let journal = Journal::open(&path).unwrap();
+    assert_eq!(journal.generation(), 2);
+    let mut reference = Vec::new();
+    journal.stream_results(&mut reference).unwrap();
+    assert_eq!(lines.len() as u64, N);
+    assert!(
+        lines.concat().as_bytes() == reference,
+        "`{verb}` across a compaction differs from the reopened journal"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_results_stream_across_a_compaction_matches_the_reopened_journal() {
+    stream_across_compaction_matches_the_reopened_journal("results");
+}
+
+#[test]
+fn a_drain_stream_across_a_compaction_matches_the_reopened_journal() {
+    stream_across_compaction_matches_the_reopened_journal("drain");
 }

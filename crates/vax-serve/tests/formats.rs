@@ -3,7 +3,8 @@
 //! `job` record, and a `vax-job-result v1` blob. All four share one
 //! codec, and none of their bytes may drift: old checkpoints and
 //! journals must still replay, and result digests are computed over
-//! these exact bytes.
+//! these exact bytes. The `status` reply is pinned too: its job lines
+//! are what scripts read.
 
 use std::path::PathBuf;
 use upc_monitor::Histogram;
@@ -154,4 +155,80 @@ fn result_blob_bytes_are_pinned() {
     assert_eq!(back.histogram, fixed().histogram);
     assert_eq!(back.counters, fixed().counters);
     assert_eq!((back.instructions, back.cycles), (1000, 4200));
+}
+
+/// The `status` reply, byte for byte: the summary line, one `job` line
+/// per job in id order — settled jobs from the snapshot and from the
+/// tail, a job a remote worker holds as `running`, a pending one — and
+/// `end`.
+#[test]
+fn status_reply_bytes_are_pinned() {
+    use std::io::{BufRead, Read, Write};
+    use std::os::unix::net::UnixStream;
+    use vax_serve::{run_server, Client, Endpoint, InProcessExecutor, ServeConfig};
+
+    let dir = tempdir("status");
+    let path = dir.join("queue.journal");
+    {
+        let mut j = Journal::open(&path).unwrap();
+        for (seed, client) in [(1, ""), (2, "alice"), (3, ""), (4, ""), (5, "bob")] {
+            let mut spec = JobSpec::new(WorkloadKind::ALL[seed as usize % 5]);
+            spec.seed = Some(seed);
+            j.append_enqueue_for(client, &spec).unwrap();
+        }
+        j.append_start(1, 1).unwrap();
+        j.append_complete(1, &fixed()).unwrap();
+        j.append_start(2, 1).unwrap();
+        j.append_fail(2, 1, "boom").unwrap();
+        j.compact().unwrap();
+        j.append_start(3, 1).unwrap();
+        j.append_complete(3, &fixed()).unwrap();
+    }
+    let sock = dir.join("s.sock");
+    let endpoint = Endpoint::Unix(sock.clone());
+    let config = ServeConfig {
+        journal: path,
+        workers: 0,
+        ..ServeConfig::default()
+    };
+    let server = std::thread::spawn({
+        let endpoint = endpoint.clone();
+        move || {
+            run_server(
+                &config,
+                Some(&endpoint),
+                std::sync::Arc::new(InProcessExecutor),
+            )
+        }
+    });
+    let client = Client::new(endpoint, std::time::Duration::from_secs(10));
+    assert!(client.request_line("metrics").unwrap().starts_with("ok "));
+
+    // A remote worker claims job 4 and holds it.
+    let mut worker = UnixStream::connect(&sock).unwrap();
+    worker.write_all(b"claim\n").unwrap();
+    let mut claimed = String::new();
+    std::io::BufReader::new(worker.try_clone().unwrap())
+        .read_line(&mut claimed)
+        .unwrap();
+    assert!(claimed.starts_with("job 4 "), "{claimed}");
+
+    let mut conn = UnixStream::connect(&sock).unwrap();
+    conn.write_all(b"status\n").unwrap();
+    let mut reply = String::new();
+    conn.read_to_string(&mut reply).unwrap();
+    assert_eq!(
+        reply,
+        "ok capacity 256 pending 1 running 1 done 2 failed 1 draining 0\n\
+         job 1 done workload=timesharing-heavy instructions=20000 warmup=5000 seed=1\n\
+         job 2 failed workload=educational instructions=20000 warmup=5000 seed=2\n\
+         job 3 done workload=sci-eng instructions=20000 warmup=5000 seed=3\n\
+         job 4 running workload=commercial instructions=20000 warmup=5000 seed=4\n\
+         job 5 pending workload=timesharing-light instructions=20000 warmup=5000 seed=5\n\
+         end\n"
+    );
+
+    drop(worker);
+    assert_eq!(client.request_line("shutdown").unwrap(), "ok");
+    server.join().unwrap().unwrap();
 }

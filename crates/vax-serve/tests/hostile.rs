@@ -6,20 +6,21 @@
 //! canonical lines, and every spec they accept stays buildable within
 //! the per-job bounds and renders far inside the request-line bound. A
 //! real connection that sends an overlong request line is rejected and
-//! closed.
+//! closed, and a claiming worker that sends an overlong result blob
+//! costs one retryable attempt.
 
 use proptest::prelude::*;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 use upc_monitor::Histogram;
-use vax780_core::{Checkpoint, MeasuredWorkload};
+use vax780_core::{Checkpoint, MeasuredWorkload, RetryPolicy};
 use vax_mem::HwCounters;
 use vax_serve::queue::{parse_result_blob, render_result_blob};
-use vax_serve::server::MAX_REQUEST_BYTES;
+use vax_serve::server::{MAX_REQUEST_BYTES, MAX_RESULT_BLOB_BYTES};
 use vax_serve::spec::{MAX_CACHE_KB, MAX_FAULTS_PER_JOB, MAX_TB_ENTRIES, MAX_WRITE_BUFFER};
 use vax_serve::{run_server, Client, Endpoint, InProcessExecutor, JobSpec, Journal, ServeConfig};
 use vax_ucode::MicroAddr;
@@ -509,4 +510,116 @@ fn an_overlong_request_line_is_rejected_and_closed() {
     assert!(client.request_line("status").is_ok(), "still serving");
     assert_eq!(client.request_line("shutdown").unwrap(), "ok");
     server.join().unwrap().expect("clean shutdown");
+}
+
+/// The longest blob `render_result_blob` can produce: every bucket of
+/// both planes nonzero at `u64::MAX`, every counter too.
+fn largest_blob() -> String {
+    let full = vec![u64::MAX; MicroAddr::SPACE];
+    let names = HwCounters::new().to_pairs();
+    render_result_blob(&MeasuredWorkload {
+        name: WorkloadKind::SciEng.name(),
+        histogram: Histogram::from_planes(full.clone(), full),
+        counters: HwCounters::from_pairs(names.iter().map(|&(name, _)| (name, u64::MAX))),
+        instructions: u64::MAX,
+        cycles: u64::MAX,
+    })
+}
+
+#[test]
+fn the_largest_result_blob_fits_the_claim_bound() {
+    let blob = largest_blob();
+    assert!(blob.len() < MAX_RESULT_BLOB_BYTES, "{} bytes", blob.len());
+    assert!(parse_result_blob(&blob, "sci-eng").is_ok());
+}
+
+/// A claiming worker that sends `result <id>` and then more blob than
+/// `MAX_RESULT_BLOB_BYTES`, over a real socket, costs one failed,
+/// retryable attempt: the server reads at most one byte past the bound,
+/// answers and hangs up, and the job goes back on the queue — where the
+/// next claim gets it and settles it with the largest legal blob.
+#[test]
+fn an_oversize_result_blob_is_a_failed_retryable_attempt() {
+    let dir = TempDir::new();
+    let sock = dir.join("s.sock");
+    let endpoint = Endpoint::Unix(sock.clone());
+    let journal = dir.join("queue.journal");
+    Journal::open(&journal)
+        .unwrap()
+        .append_enqueue(&JobSpec::new(WorkloadKind::SciEng))
+        .unwrap();
+    let config = ServeConfig {
+        journal: journal.clone(),
+        workers: 0,
+        retry: RetryPolicy::from_retries(1, 0),
+        ..ServeConfig::default()
+    };
+    let server = std::thread::spawn({
+        let endpoint = endpoint.clone();
+        move || run_server(&config, Some(&endpoint), Arc::new(InProcessExecutor))
+    });
+    let client = Client::new(endpoint, Duration::from_secs(5));
+    assert!(client.request_line("status").is_ok());
+
+    let claim = || {
+        let conn = UnixStream::connect(&sock).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        conn.set_write_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+        (&conn).write_all(b"claim\n").unwrap();
+        let mut job = String::new();
+        reader.read_line(&mut job).unwrap();
+        assert!(job.starts_with("job 1 "), "{job}");
+        (conn, reader)
+    };
+
+    // Well-formed bucket lines that never reach `end`.
+    let (mut conn, mut reader) = claim();
+    conn.write_all(b"result 1\n").unwrap();
+    let chunk = b"3ff 1 1\n".repeat(8 * 1024);
+    let mut sent = 0usize;
+    let broke = loop {
+        if let Err(e) = conn.write_all(&chunk) {
+            break e;
+        }
+        sent += chunk.len();
+        assert!(
+            sent < 16 * MAX_RESULT_BLOB_BYTES,
+            "the server kept reading a blob past its bound"
+        );
+    };
+    assert!(
+        matches!(
+            broke.kind(),
+            ErrorKind::BrokenPipe | ErrorKind::ConnectionReset
+        ),
+        "the server neither read nor closed: {broke}"
+    );
+    let mut ack = String::new();
+    reader.read_line(&mut ack).unwrap();
+    assert_eq!(ack, "ok\n");
+
+    // The attempt failed and the job is queued again; the next claim
+    // settles it with a blob just inside the bound.
+    let status = client.request_line("status").unwrap();
+    assert!(
+        status.contains(" pending 1 running 0 done 0 failed 0 "),
+        "{status}"
+    );
+    let (mut conn, mut reader) = claim();
+    conn.write_all(format!("result 1\n{}", largest_blob()).as_bytes())
+        .unwrap();
+    let mut ack = String::new();
+    reader.read_line(&mut ack).unwrap();
+    assert_eq!(ack, "ok\n");
+    assert_eq!(client.request_line("shutdown").unwrap(), "ok");
+    server.join().unwrap().expect("clean shutdown");
+    let journal = Journal::open(&journal).unwrap();
+    assert_eq!(journal.counts(), (0, 1, 0));
+    let line = journal.result_line(1).unwrap().unwrap();
+    assert!(
+        line.contains("\"instructions\":18446744073709551615"),
+        "{line}"
+    );
 }

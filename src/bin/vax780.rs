@@ -938,21 +938,15 @@ fn cmd_status(args: &[String]) -> ExitCode {
             // stop, not a panic.
             use std::io::Write;
             let stdout = std::io::stdout();
-            let mut out = stdout.lock();
+            let mut out = std::io::BufWriter::new(stdout.lock());
             let (pending, done, failed) = journal.counts();
             let mut write_jobs = || -> std::io::Result<()> {
                 writeln!(
                     out,
                     "queue {queue}: pending {pending} done {done} failed {failed}"
                 )?;
-                for (id, state) in journal.states() {
-                    let spec = journal
-                        .spec_line(id)
-                        .map_err(|e| std::io::Error::other(e.to_string()))?
-                        .unwrap_or_default();
-                    writeln!(out, "job {id} {} {spec}", state.name())?;
-                }
-                Ok(())
+                journal.write_job_lines(&mut out)?;
+                out.flush()
             };
             match write_jobs() {
                 Ok(()) => ExitCode::SUCCESS,
